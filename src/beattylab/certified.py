@@ -7,16 +7,27 @@ Values come in three flavors:
 * finite continued-fraction prefixes (an unknown real known only to lie
   in the bracket spanned by its convergents).
 
-Rational and quadratic generators admit exact integer-arithmetic floors:
-for integers A, B, W > 0 and non-square k, sqrt(B^2 k) lies strictly
-between f = isqrt(B^2 k) and f + 1, so
+Scalar floors are exact integer arithmetic. For integers A, B, W > 0 and
+non-square k, sqrt(B^2 k) lies strictly between f = isqrt(B^2 k) and
+f + 1, so
 
     floor((A + B*sqrt(k))/W)  =  (A + f) // W          if B > 0
                                =  (A - f - 1) // W      if B < 0
 
-with no precision loss, ever. Continued-fraction prefixes refine a dyadic
-enclosure on a doubling schedule (128 -> 4096 bits) and raise
+with no precision loss, ever; two different square roots are bracketed
+and then certified by exact sign tests. Continued-fraction prefixes refine
+a dyadic enclosure on a doubling schedule (128 -> 4096 bits) and raise
 BoundaryAmbiguous when certification is impossible.
+
+Arrays of floors go through one int64 kernel (``_AffineEval.floor_array``).
+It brackets alpha*scale and beta by integers over a denominator D: D = W
+with zero width when an exact rational fits in int64; otherwise D = 2^s,
+with s chosen so that max|A|*nmax + max|B| < 2^62, and the ends are the
+exact floor and ceiling of the value times D (rational and quadratic
+parts) or the 128-bit enclosure rounded outward (cf parts). The floors of
+both bracket ends are computed in int64; lanes where they agree are
+certified, and only the lanes where they disagree go to the exact scalar
+floor (which still raises BoundaryAmbiguous). No float is involved.
 """
 
 from __future__ import annotations
@@ -33,7 +44,8 @@ from .primes import PrimeTable
 PRECISION_START = 128
 PRECISION_CAP = 4096
 
-_VEC_SQRT_CAP = 1 << 52  # np.float64 sqrt is reliable below this after +-1 fixup
+_HEADROOM = 1 << 62  # max|A|*nmax + max|B| in the int64 floor kernel stays below this
+_MIN_SHIFT = 16      # fewest fraction bits worth a kernel pass; below it, scalar floors
 
 
 def _sign_quad(c: int, b: int, k: int) -> int:
@@ -75,6 +87,11 @@ def _floor_quad(A: int, B: int, W: int, k: int) -> int:
         return A // W
     f = math.isqrt(B * B * k)
     return (A + (f if B > 0 else -f - 1)) // W
+
+
+def _floor_shifted(x: Fraction, s: int) -> int:
+    """floor(x * 2^s) for s >= 0."""
+    return (x.numerator << s) // x.denominator
 
 
 def _squarefree_split(k: int) -> tuple[int, int]:
@@ -316,8 +333,8 @@ class CertifiedReal:
                 return -1
             if bits >= PRECISION_CAP or hi - lo <= 0:
                 raise BoundaryAmbiguous(
-                    f"cannot separate cf value in [{lo}, {hi}] from {r}"
-                )
+                    f"cannot separate {self.spec_string()} in [{lo}, {hi}] from {r} "
+                    f"after {bits} bits")
             bits *= 2
 
     def __gt__(self, other):
@@ -345,16 +362,24 @@ def _quad_parts(x: CertifiedReal) -> tuple[int, int, int, int]:
 
 
 class _AffineEval:
-    """Prepared evaluator for n -> floor(alpha*scale*n + beta) and sign tests."""
+    """Prepared evaluator for n -> floor(alpha*scale*n + beta + shift) and sign tests.
+
+    ``shift`` is an exact rational added to beta; it lets a caller move the
+    floor boundaries (fractional_hits) without building a new generator.
+    """
 
     __slots__ = ("mode", "a1", "a0", "b1", "b0", "W", "k", "alpha", "beta",
-                 "scale", "k_alpha", "k_beta")
+                 "scale", "shift", "k_alpha", "k_beta")
 
-    def __init__(self, alpha: CertifiedReal, beta: CertifiedReal, scale: int = 1):
+    def __init__(self, alpha: CertifiedReal, beta: CertifiedReal, scale: int = 1,
+                 shift=0):
         self.alpha, self.beta, self.scale = alpha, beta, scale
+        self.shift = Fraction(shift)
         if alpha.kind != "cf" and beta.kind != "cf":
             ua, va, wa, ka = _quad_parts(alpha)
             ub, vb, wb, kb = _quad_parts(beta)
+            rn, rd = self.shift.numerator, self.shift.denominator
+            ub, vb, wb = ub * rd + rn * wb, vb * rd, wb * rd
             if ka and kb and ka != kb:
                 self.mode = "twosqrt"
                 self.k_alpha, self.k_beta = ka, kb
@@ -382,7 +407,7 @@ class _AffineEval:
         return self._floor_enclosure(n)
 
     def compare(self, n: int, r: Fraction) -> int:
-        """Exact sign of (alpha*scale*n + beta - r)."""
+        """Exact sign of (alpha*scale*n + beta + shift - r)."""
         if self.mode == "enclosure":
             return self._compare_enclosure(n, r)
         rn, rd = r.numerator, r.denominator
@@ -411,63 +436,121 @@ class _AffineEval:
                 return m
         raise AssertionError("two-sqrt floor bracketing failed")  # pragma: no cover
 
+    def _bounds(self, bits: int) -> tuple[Fraction, Fraction, Fraction, Fraction]:
+        """Exact rational brackets alo <= alpha*scale <= ahi, blo <= beta + shift <= bhi."""
+        alo, ahi = self.alpha.enclosure(bits)
+        blo, bhi = self.beta.enclosure(bits)
+        alo, ahi = sorted((alo * self.scale, ahi * self.scale))
+        return alo, ahi, blo + self.shift, bhi + self.shift
+
+    def _ambiguous(self, n: int, what: str, bits: int) -> BoundaryAmbiguous:
+        return BoundaryAmbiguous(
+            f"{what} at n={n} after {bits} bits "
+            f"(alpha={self.alpha.spec_string()}, beta={self.beta.spec_string()}, "
+            f"scale={self.scale}, shift={self.shift})")
+
     def _floor_enclosure(self, n: int) -> int:
         bits = PRECISION_START
         while True:
-            alo, ahi = self.alpha.enclosure(bits)
-            blo, bhi = self.beta.enclosure(bits)
-            lo = alo * (self.scale * n) + blo
-            hi = ahi * (self.scale * n) + bhi
-            flo, fhi = lo.__floor__(), hi.__floor__()
+            alo, ahi, blo, bhi = self._bounds(bits)
+            lo, hi = sorted((alo * n, ahi * n))
+            flo, fhi = (lo + blo).__floor__(), (hi + bhi).__floor__()
             if flo == fhi:
                 return flo
             if bits >= PRECISION_CAP:
-                raise BoundaryAmbiguous(
-                    f"floor({self.scale}*{n}*alpha+beta) spans [{flo}, {fhi}] at cap"
-                )
+                raise self._ambiguous(n, f"floor(alpha*scale*n+beta) spans [{flo}, {fhi}]",
+                                      bits)
             bits *= 2
 
     def _compare_enclosure(self, n: int, r: Fraction) -> int:
         bits = PRECISION_START
         while True:
-            alo, ahi = self.alpha.enclosure(bits)
-            blo, bhi = self.beta.enclosure(bits)
-            lo = alo * (self.scale * n) + blo
-            hi = ahi * (self.scale * n) + bhi
-            if lo > r:
+            alo, ahi, blo, bhi = self._bounds(bits)
+            lo, hi = sorted((alo * n, ahi * n))
+            if lo + blo > r:
                 return 1
-            if hi < r:
+            if hi + bhi < r:
                 return -1
             if bits >= PRECISION_CAP:
-                raise BoundaryAmbiguous(f"cannot separate alpha*{n}+beta from {r}")
+                raise self._ambiguous(n, f"cannot separate alpha*scale*n+beta from {r}", bits)
             bits *= 2
 
+    def _ends(self, s: int) -> tuple[int, int, int, int]:
+        """Integers alo <= alpha*scale*2^s <= ahi and blo <= (beta + shift)*2^s <= bhi.
+
+        Exact floors and ceilings in integer arithmetic for rational and
+        quadratic parts; the 128-bit enclosure rounded outward for cf parts.
+        """
+        if self.mode == "enclosure":
+            alo, ahi, blo, bhi = self._bounds(PRECISION_START)
+            return (_floor_shifted(alo, s), -_floor_shifted(-ahi, s),
+                    _floor_shifted(blo, s), -_floor_shifted(-bhi, s))
+        ka, kb = (self.k_alpha, self.k_beta) if self.mode == "twosqrt" else (self.k, self.k)
+        out = []
+        for u, v, k in ((self.a1, self.b1, ka), (self.a0, self.b0, kb)):
+            out += [_floor_quad(u << s, v << s, self.W, k),
+                    -_floor_quad(-u << s, -v << s, self.W, k)]
+        return tuple(out)
+
+    def _int_bracket(self, nmax: int) -> tuple[int, int, int, int, int] | None:
+        """Integers (alo, ahi, blo, bhi, D) with alo/D <= alpha*scale <= ahi/D and
+        blo/D <= beta + shift <= bhi/D, and max|A|*nmax + max|B| < _HEADROOM.
+
+        An exact rational that fits keeps D = W and zero width; otherwise
+        D = 2^s with s as large as the headroom allows. None when fewer than
+        _MIN_SHIFT fraction bits fit.
+        """
+        if self.mode == "exact" and max(abs(self.a1) * nmax + abs(self.a0), self.W) < _HEADROOM:
+            a, b, D = self.a1, self.a0, self.W
+            return a, a, b, b, D
+        # the integer ends at s = 0 bound |alpha*scale| and |beta + shift|, so
+        # 2^s * size < _HEADROOM bounds max|A|*nmax + max|B| at shift s
+        alo, ahi, blo, bhi = self._ends(0)
+        size = max(-alo, ahi) * nmax + max(-blo, bhi) + 1
+        s = _HEADROOM.bit_length() - 1 - size.bit_length()
+        if s < _MIN_SHIFT:
+            return None
+        return (*self._ends(s), 1 << s)
+
+    def _floor_scalar(self, ns: np.ndarray) -> np.ndarray:
+        out = [self.floor(n) for n in ns.tolist()]
+        if out and max(-min(out), max(out)) >= 1 << 63:
+            raise ParameterError("floor values exceed the int64 range")
+        return np.array(out, dtype=np.int64)
+
     def floor_array(self, ns: np.ndarray) -> np.ndarray:
-        """Vectorized floors over an int64 array of n values."""
+        """Certified floors over an int64 array of n values (any sign).
+
+        One int64 pass per bracket end; lanes whose two floors differ are
+        recomputed by the exact scalar ``floor``.
+        """
         ns = np.asarray(ns, dtype=np.int64)
         if ns.size == 0:
             return np.empty(0, dtype=np.int64)
-        nmax = int(np.abs(ns).max())
-        if self.mode == "exact" and self._fits_exact(nmax):
-            return (self.a1 * ns + self.a0) // self.W
-        if self.mode == "quad" and self._fits_quad(nmax):
-            A = self.a1 * ns + self.a0
-            B = self.b1 * ns + self.b0
-            D = B * B * self.k
-            f = np.sqrt(D.astype(np.float64)).astype(np.int64)
-            f = np.where((f + 1) * (f + 1) <= D, f + 1, f)
-            f = np.where(f * f > D, f - 1, f)
-            add = np.where(B > 0, f, np.where(B == 0, 0, -f - 1))
-            return (A + add) // self.W
-        return np.array([self.floor(int(n)) for n in ns.tolist()], dtype=np.int64)
-
-    def _fits_exact(self, nmax: int) -> bool:
-        return (abs(self.a1) * nmax + abs(self.a0)).bit_length() < 62
-
-    def _fits_quad(self, nmax: int) -> bool:
-        bmax = abs(self.b1) * nmax + abs(self.b0)
-        return (abs(self.a1) * nmax + abs(self.a0)).bit_length() < 62 and \
-            (bmax * bmax * self.k) < _VEC_SQRT_CAP
+        nmin, nmax = int(ns.min()), int(ns.max())
+        bracket = self._int_bracket(max(-nmin, nmax))
+        if bracket is None:
+            return self._floor_scalar(ns)
+        alo, ahi, blo, bhi, D = bracket
+        assert (max(-alo, ahi) * max(-nmin, nmax) + max(-blo, bhi) < _HEADROOM
+                and 0 < D < _HEADROOM), "int64 headroom of the floor kernel"
+        # in-place updates: a fresh temporary per step costs more than the arithmetic
+        lo = alo * ns
+        if alo == ahi and blo == bhi:
+            lo += blo
+            lo //= D
+            return lo
+        hi = ahi * ns
+        if nmin < 0:  # alpha*n falls as alpha grows there: pair the ends again
+            lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+        lo += blo
+        lo //= D
+        hi += bhi
+        hi //= D
+        bad = np.flatnonzero(lo != hi)
+        if bad.size:
+            lo[bad] = self._floor_scalar(ns[bad])
+        return lo
 
 
 def floor_affine(alpha: CertifiedReal, beta: CertifiedReal, n: int) -> int:
@@ -499,6 +582,15 @@ class PairCount:
     pairs: list[tuple[int, int]] | None = None
 
 
+def pair_hits(ev: _AffineEval, ps: np.ndarray, table: PrimeTable) -> tuple[np.ndarray, np.ndarray]:
+    """Companions qs = floor(alpha*p + beta) over ps, and the mask of prime qs.
+
+    Companions below 2 are never prime; every q must stay within the table.
+    """
+    qs = ev.floor_array(ps)
+    return qs, table.membership_array(qs)
+
+
 def beatty_prime_pairs(alpha: CertifiedReal, beta: CertifiedReal, x: int,
                        primes: PrimeTable, want_pairs: bool = False) -> PairCount:
     """Count primes p <= x whose companion floor(alpha*p + beta) is prime.
@@ -517,15 +609,11 @@ def beatty_prime_pairs(alpha: CertifiedReal, beta: CertifiedReal, x: int,
             f"prime table limit {primes.limit} < max(x, floor(alpha*x+beta)) = {max(x, qmax)}"
         )
     ps = primes.primes_upto(x)
-    qs = ev.floor_array(ps)
-    ok = qs >= 2
-    hits = np.zeros(ps.shape, dtype=bool)
-    hits[ok] = primes.membership_array(qs[ok])
-    count = int(hits.sum())
+    qs, hits = pair_hits(ev, ps, primes)
     pairs = None
     if want_pairs:
         pairs = [(int(p), int(q)) for p, q in zip(ps[hits].tolist(), qs[hits].tolist())]
-    return PairCount(x=x, count=count, pairs=pairs)
+    return PairCount(x=x, count=int(hits.sum()), pairs=pairs)
 
 
 def normalized_statistic(count: int, x: int) -> float:

@@ -3,8 +3,9 @@
 Conventions: CSV bodies go to stdout (or --out <path>); a JSON run
 manifest goes to stderr (or <out>.manifest.json). Rationals are emitted
 as numerator/denominator column pairs so exactness survives the file
-format. Exit codes: 0 ok, 2 parameter error, 3 certification failure,
-4 guard violation.
+format. Exit codes: 0 ok, 1 cross-check disagreement (lemma2
+--mobius-variant), 2 parameter error, 3 certification failure, 4 guard
+violation.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .intervals import IntervalSet
 from .primes import sieve_primes
 from .selberg import big_g, product_lower, selberg_upper_bound
 
+EXIT_DISAGREEMENT = 1
 EXIT_PARAMETER = 2
 EXIT_CERTIFICATION = 3
 EXIT_GUARD = 4
@@ -202,9 +204,9 @@ def _cmd_lemma2(args):
                 break
             q = CongruenceQuery(alpha, beta, min(args.x, 10_000), row.d)
             if count_mobius(q, variant=args.mobius_variant) != count_direct(q):
-                print(f"error: mobius variant {args.mobius_variant} disagrees at d={row.d}",
-                      file=sys.stderr)
-                raise SystemExit(1)
+                print(f"error: disagreement: mobius variant {args.mobius_variant} "
+                      f"differs from the direct count at d={row.d}", file=sys.stderr)
+                return EXIT_DISAGREEMENT
         notes.append(f"mobius_variant {args.mobius_variant}: agrees with direct "
                      f"counts for square-free d <= {check_max}")
     extras = {"cmd": "lemma2", "alpha": args.alpha, "beta": args.beta,
@@ -351,8 +353,7 @@ def main(argv: list[str] | None = None) -> int:
         if argv and not argv[0].startswith("-"):
             argv = [argv[0]] + _apply_config(parser, argv[0], argv[1:])
         args = parser.parse_args(argv)
-        args.fn(args)
-        return 0
+        return args.fn(args) or 0
     except ParameterError as exc:
         print(f"error: parameter: {exc}", file=sys.stderr)
         return EXIT_PARAMETER

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certified import CertifiedReal, _AffineEval, _floor_quad, _quad_parts
+import numpy as np
+
+from .certified import _HEADROOM, CertifiedReal, _AffineEval, _floor_quad, _quad_parts
 from .errors import GuardViolation, ParameterError
 from .intervals import IntervalSet
 from .primes import factorize
@@ -200,13 +202,11 @@ def fractional_hits(alpha_prime: CertifiedReal, beta_prime: CertifiedReal,
         raise ParameterError("y must be >= 1")
     if width == 1:
         return y
-    ev = _AffineEval(alpha_prime, beta_prime)
-    count = 0
-    for n in range(1, y + 1):
-        q = ev.floor(n)
-        if ev.compare(n, q + width) < 0:
-            count += 1
-    return count
+    # {v} < width  <=>  floor(v) != floor(v - width), since 0 < width < 1
+    ns = np.arange(1, y + 1, dtype=np.int64)
+    at = _AffineEval(alpha_prime, beta_prime).floor_array(ns)
+    below = _AffineEval(alpha_prime, beta_prime, shift=-width).floor_array(ns)
+    return int((at != below).sum())
 
 
 @dataclass(frozen=True)
@@ -233,13 +233,24 @@ def fractional_hits_report(alpha_prime: CertifiedReal, beta_prime: CertifiedReal
 
 
 def _rational_hits(a: int, q: int, beta: Fraction, y: int, windows) -> int:
-    """Count n <= y with {a*n/q + beta} in the union of half-open windows."""
-    count = 0
-    for n in range(1, y + 1):
-        fr = (Fraction(a * n, q) + beta) % 1
-        if any(lo <= fr < hi for lo, hi in windows):
-            count += 1
-    return count
+    """Count n <= y with {a*n/q + beta} in the union of half-open windows.
+
+    With beta = bn/bd and M = q*bd, {a*n/q + beta} = r/M for the residue
+    r = (a*bd*n + bn*q) mod M, so a window [lo, hi) holds exactly the r
+    with ceil(lo*M) <= r < ceil(hi*M). Residues run in int64 when M and
+    (a*bd mod M)*y + (bn*q mod M) stay below the floor kernel's headroom,
+    else on Python integers.
+    """
+    bn, bd = beta.numerator, beta.denominator
+    M = q * bd
+    step, offset = a * bd % M, bn * q % M
+    fits = max(step * y + offset, M) < _HEADROOM
+    ns = np.arange(1, y + 1, dtype=np.int64 if fits else object)
+    r = (step * ns + offset) % M
+    hit = np.zeros(y, dtype=bool)
+    for lo, hi in windows:
+        hit |= (r >= math.ceil(lo * M)) & (r < math.ceil(hi * M))
+    return int(hit.sum())
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the library and the CLI.
 
 The CLI maps these onto exit codes: ParameterError -> 2,
-BoundaryAmbiguous -> 3, GuardViolation -> 4.
+BoundaryAmbiguous -> 3, GuardViolation -> 4. Exit code 1 is the CLI's own
+cross-check disagreement (lemma2 --mobius-variant) and has no class here.
 """
 
 

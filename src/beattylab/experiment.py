@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certified import CertifiedReal, _AffineEval, normalized_statistic
+from .certified import CertifiedReal, _AffineEval, normalized_statistic, pair_hits
 from .errors import ParameterError
 from .intervals import IntervalSet
 from .primes import PrimeTable, is_prime, sieve_primes
@@ -189,19 +189,6 @@ def sample_alphas(cfg: ExperimentConfig) -> list[Fraction]:
     return out
 
 
-def _pair_count_rational(alpha: Fraction, beta: Fraction, x: int,
-                         prime_list: list[int], prime_set: set[int]) -> int:
-    an, ad = alpha.numerator, alpha.denominator
-    bn, bd = beta.numerator, beta.denominator
-    num, off, den = an * bd, bn * ad, ad * bd
-    count = 0
-    for p in prime_list:
-        q = (num * p + off) // den
-        if q >= 2 and q in prime_set:
-            count += 1
-    return count
-
-
 def integral_monte_carlo(cfg: ExperimentConfig, x: int,
                          primes: PrimeTable | None = None) -> MonteCarloResult:
     """Plain Monte Carlo estimate of the integral with a seeded dyadic stream."""
@@ -211,17 +198,11 @@ def integral_monte_carlo(cfg: ExperimentConfig, x: int,
     beta_hi = beta if beta is not None else cfg.beta.enclosure(32)[1]
     qmax_bound = int((cfg.c2 * x + beta_hi).__floor__()) + 2
     table = primes if primes is not None else sieve_primes(max(2, x, qmax_bound))
-    prime_list = [int(p) for p in table.primes_upto(x).tolist()]
-    prime_set = set(table.primes().tolist())
-
+    ps = table.primes_upto(x)
     counts = []
     for a in sample_alphas(cfg):
-        if beta is not None:
-            counts.append(_pair_count_rational(a, beta, x, prime_list, prime_set))
-        else:
-            ev = _AffineEval(CertifiedReal.rational(a), cfg.beta)
-            counts.append(sum(1 for p in prime_list
-                              if (q := ev.floor(p)) >= 2 and q in prime_set))
+        _, hits = pair_hits(_AffineEval(CertifiedReal.rational(a), cfg.beta), ps, table)
+        counts.append(int(hits.sum()))
     width = float(cfg.c2 - cfg.c1)
     n = len(counts)
     mean = sum(counts) / n
@@ -281,11 +262,7 @@ def scan_alpha(cfg: ExperimentConfig, pins: tuple[str, ...] = (),
 
     def run(job):
         spec, cr = job
-        ev = _AffineEval(cr, cfg.beta)
-        qs = ev.floor_array(ps)
-        ok = qs >= 2
-        hits = ok.copy()
-        hits[ok] = table.membership_array(qs[ok])
+        _, hits = pair_hits(_AffineEval(cr, cfg.beta), ps, table)
         rows = []
         for x in cfg.x_grid:
             idx = int(table.count(x))

@@ -57,11 +57,17 @@ class PrimeTable:
         v = np.asarray(values, dtype=np.int64)
         if v.size and int(v.max()) > self.limit:
             raise ParameterError("membership query exceeds table limit")
-        out = np.zeros(v.shape, dtype=bool)
-        odd = (v >= 3) & (v % 2 == 1)
-        i = (v[odd] - 3) >> 1
-        out[odd] = (self._bits[i >> 3] >> (i & 7).astype(np.uint8)) & 1
-        out[v == 2] = True
+        # bit index of odd v >= 3; other lanes read bit 0 and are masked below.
+        # In-place steps: on large arrays a fresh temporary costs more than the op.
+        i = v - 3
+        i >>= 1
+        np.maximum(i, 0, out=i)
+        b = self._bits[i >> 3]
+        b >>= (i & 7).astype(np.uint8)
+        b &= (v & 1).astype(np.uint8)
+        out = b.view(bool)
+        out &= v >= 3
+        out |= v == 2
         return out
 
     def primes(self) -> np.ndarray:

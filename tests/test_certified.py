@@ -144,6 +144,18 @@ def test_cf_generator_certifies_and_fails_honestly():
         CertifiedReal.from_partial_quotients([1, 0, 2])
 
 
+def test_boundary_ambiguous_message_names_lane_bits_and_specs():
+    # raised from floor_array's fix-up of the first lane it cannot certify
+    ev = _AffineEval(CertifiedReal.parse("cf:1,2"), R(1, 3))
+    with pytest.raises(BoundaryAmbiguous) as info:
+        ev.floor_array(np.arange(1, 50, dtype=np.int64))
+    msg = str(info.value)
+    assert "n=4" in msg and "4096 bits" in msg
+    assert "alpha=cf:1:2" in msg and "beta=rat:1/3" in msg
+    with pytest.raises(BoundaryAmbiguous, match=r"cf:1:2 .*4096 bits"):
+        CertifiedReal.parse("cf:1,2").compare_fraction(Fraction(7, 5))
+
+
 def test_enclosure_refine_shrinks():
     cr = CertifiedReal.sqrt(2)
     lo, hi = cr.enclosure(128)
@@ -199,7 +211,7 @@ def test_negative_beta_companions_not_counted(table_3k):
 
 
 def test_beatty_pairs_cf_alpha_fallback(table_3k):
-    # cf-backed alpha exercises the per-n enclosure path
+    # cf-backed alpha: the kernel brackets it by its 128-bit enclosure
     cf = CertifiedReal.from_partial_quotients([1] + [2] * 30)
     exact = beatty_prime_pairs(CertifiedReal.sqrt(2), ZERO, 300, table_3k,
                                want_pairs=True)
@@ -214,7 +226,7 @@ def test_floor_array_matches_scalar():
         ns = np.arange(1, 400, dtype=np.int64)
         arr = ev.floor_array(ns)
         assert [ev.floor(int(n)) for n in ns] == arr.tolist()
-    # huge rational coefficients force the python-int fallback
+    # coefficients past int64 take the 2^s bracket instead of the exact denominator
     big = R(2 ** 80 + 1, 2 ** 79)
     ev = _AffineEval(big, ZERO)
     ns = np.arange(1, 50, dtype=np.int64)

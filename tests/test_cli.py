@@ -126,6 +126,16 @@ def test_exit_code_certification(capsys):
     assert err.startswith("error: certification:")
 
 
+def test_exit_code_disagreement(capsys, monkeypatch):
+    import beattylab.cli as cli
+    real = cli.count_mobius
+    monkeypatch.setattr(cli, "count_mobius", lambda q, variant: real(q, variant) + (q.d == 6))
+    code, out, err = run_cli(capsys, "lemma2", "--alpha", "sqrt:2", "--x", "500",
+                             "--dmax", "10", "--mobius-variant", "paper")
+    assert code == 1 and out == ""
+    assert err.startswith("error: disagreement:") and "d=6" in err
+
+
 def test_exit_code_guard(capsys):
     code, _, err = run_cli(capsys, "farey", "--qmax", "99999",
                            "--halfwidth", "1/9")

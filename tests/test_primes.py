@@ -37,6 +37,10 @@ def test_membership_array(table_3k):
     vals = np.array([1, 2, 3, 4, 997, 999, 2999], dtype=np.int64)
     got = table_3k.membership_array(vals).tolist()
     assert got == [False, True, True, False, True, False, True]
+    # every value up to the limit, negatives and 0..2 included (floors can be negative)
+    vals = np.arange(-7, 3001, dtype=np.int64)
+    assert table_3k.membership_array(vals).tolist() == \
+        [trial_is_prime(n) for n in range(-7, 3001)]
 
 
 def test_count_upto(table_3k):
