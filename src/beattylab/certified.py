@@ -107,6 +107,16 @@ def _squarefree_split(k: int) -> tuple[int, int]:
     return k0, s
 
 
+def convergents(quotients) -> list[tuple[int, int]]:
+    """Convergents (h_i, k_i) of the continued fraction [a0; a1, a2, ...]."""
+    h0, k0, h1, k1 = 0, 1, 1, 0  # (h_{-2}, k_{-2}), (h_{-1}, k_{-1})
+    out = []
+    for a in quotients:
+        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
+        out.append((h1, k1))
+    return out
+
+
 class CertifiedReal:
     """A positive-or-negative real with certified comparisons and floors.
 
@@ -134,10 +144,6 @@ class CertifiedReal:
         obj.kind = "rational"
         obj._fr = Fraction(num, den)
         return obj
-
-    @classmethod
-    def from_fraction(cls, fr: Fraction) -> "CertifiedReal":
-        return cls.rational(fr)
 
     @classmethod
     def sqrt(cls, k: int, mul=1, add=0) -> "CertifiedReal":
@@ -261,18 +267,9 @@ class CertifiedReal:
 
     # --- enclosures ---
 
-    def _convergents(self):
-        h0, k0, h1, k1 = 0, 1, 1, 0  # (h_{-2}, k_{-2}), (h_{-1}, k_{-1})
-        out = []
-        for a in self._quotients:
-            h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-            out.append((h1, k1))
-        return out
-
-    def _cf_bracket(self, max_terms=None) -> tuple[Fraction, Fraction]:
-        convs = self._convergents()
-        if max_terms is not None:
-            convs = convs[:max_terms]
+    def _cf_bracket(self, n_terms: int) -> tuple[Fraction, Fraction]:
+        """Bracket of the value from the convergents of the first n_terms quotients."""
+        convs = convergents(self._quotients[:n_terms])
         if len(convs) == 1:
             h, k = convs[0]
             return Fraction(h, k), Fraction(h + 1, k)

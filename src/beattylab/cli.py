@@ -269,7 +269,6 @@ def build_parser() -> _Parser:
 
     def common(sp):
         sp.add_argument("--out", default=None, help="write CSV here instead of stdout")
-        sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--config", default=None, help=argparse.SUPPRESS)
 
     sp = sub.add_parser("pairs", help="count primes p <= x with prime companion")
@@ -289,6 +288,7 @@ def build_parser() -> _Parser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--pin", action="append", default=[])
     sp.add_argument("--svg", default=None, help="also write an SVG polyline plot")
+    sp.add_argument("--threads", type=int, default=1)
     common(sp)
     sp.set_defaults(fn=_cmd_scan)
 

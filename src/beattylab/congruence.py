@@ -2,8 +2,9 @@
 
 Provides the direct count, its Mobius-decomposed evaluation (two index
 spellings, which must agree exactly with the direct count), the
-multiplicative main term (x/d) * prod_{p|d} (2 - 1/p), and a deviation
-table for watching the error term decay.
+multiplicative main term (x/d) * prod_{p|d} (2 - 1/p), a deviation
+table for watching the error term decay, and the divisibility-mask
+histogram that the deviation table and the Selberg sums share.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .errors import GuardViolation, ParameterError
 from .primes import distinct_prime_factors, mobius, squarefree_divisors
 
 DEVIATION_DMAX_GUARD = 10_000
+MASK_PRIME_LIMIT = 63  # one bit per prime in a non-negative int64 mask
 
 
 @dataclass(frozen=True)
@@ -125,6 +127,31 @@ def main_term(x: int, d: int) -> Fraction:
     return out
 
 
+def divisibility_masks(ns: np.ndarray, fs: np.ndarray,
+                       primes) -> tuple[np.ndarray, np.ndarray]:
+    """Histogram (masks, counts) of the bitmasks {bit i : primes[i] | n*f} over lanes (n, f).
+
+    Raises GuardViolation past MASK_PRIME_LIMIT primes.
+    """
+    if len(primes) > MASK_PRIME_LIMIT:
+        raise GuardViolation(f"{len(primes)} primes exceed the {MASK_PRIME_LIMIT}-bit "
+                             f"divisibility mask")
+    masks = np.zeros(ns.size, dtype=np.int64)
+    for bit, p in enumerate(primes):
+        masks |= ((ns % p == 0) | (fs % p == 0)).astype(np.int64) << bit
+    return np.unique(masks, return_counts=True)
+
+
+def mask_of(m: int, primes) -> int:
+    """The mask bits of the primes that divide m."""
+    return sum(1 << bit for bit, p in enumerate(primes) if m % p == 0)
+
+
+def masked_count(masks: np.ndarray, counts: np.ndarray, bits: int) -> int:
+    """Number of lanes whose mask holds every bit of ``bits``."""
+    return int(counts[(masks & bits) == bits].sum())
+
+
 @dataclass(frozen=True)
 class DeviationRow:
     d: int
@@ -154,21 +181,11 @@ def deviation_report(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     sf = [d for d in range(1, d_max + 1) if mobius(d) != 0]
     ps = sorted({p for d in sf for p in distinct_prime_factors(d)})
 
-    counts_by_d = {}
-    if len(ps) <= 62:  # one int64 mask bit per prime
-        masks = np.zeros(x, dtype=np.int64)
-        for bit, p in enumerate(ps):
-            masks |= (((ns % p == 0) | (fs % p == 0)).astype(np.int64)) << bit
-        uniq, counts = np.unique(masks, return_counts=True)
-        for d in sf:
-            bits = 0
-            for bit, p in enumerate(ps):
-                if d % p == 0:
-                    bits |= 1 << bit
-            counts_by_d[d] = int(counts[(uniq & bits) == bits].sum())
-    else:
-        for d in sf:
-            counts_by_d[d] = int((((ns % d) * (fs % d)) % d == 0).sum())
+    if len(ps) <= MASK_PRIME_LIMIT:
+        masks, counts = divisibility_masks(ns, fs, ps)
+        counts_by_d = {d: masked_count(masks, counts, mask_of(d, ps)) for d in sf}
+    else:  # too many primes for one mask: count each d directly
+        counts_by_d = {d: int((((ns % d) * (fs % d)) % d == 0).sum()) for d in sf}
 
     rows = []
     for d in sf:

@@ -14,7 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certified import _HEADROOM, CertifiedReal, _AffineEval, _floor_quad, _quad_parts
+from .certified import (_HEADROOM, CertifiedReal, _AffineEval, _floor_quad, _quad_parts,
+                        convergents)
 from .errors import GuardViolation, ParameterError
 from .intervals import IntervalSet
 from .primes import factorize
@@ -64,15 +65,6 @@ class ContinuedFraction:
     exact: bool  # True when the expansion terminated (rational input)
 
 
-def _convergents_of(quotients):
-    h0, k0, h1, k1 = 0, 1, 1, 0
-    out = []
-    for a in quotients:
-        h0, k0, h1, k1 = h1, k1, a * h1 + h0, a * k1 + k0
-        out.append((h1, k1))
-    return tuple(out)
-
-
 def continued_fraction(alpha: CertifiedReal, count: int) -> ContinuedFraction:
     """First ``count`` partial quotients of alpha > 0, exactly.
 
@@ -86,7 +78,7 @@ def continued_fraction(alpha: CertifiedReal, count: int) -> ContinuedFraction:
 
     if alpha.kind == "cf":
         qs = alpha._quotients[:count]
-        return ContinuedFraction(tuple(qs), _convergents_of(qs), exact=False)
+        return ContinuedFraction(tuple(qs), tuple(convergents(qs)), exact=False)
 
     if alpha.kind == "rational":
         fr = alpha.as_fraction()
@@ -96,7 +88,7 @@ def continued_fraction(alpha: CertifiedReal, count: int) -> ContinuedFraction:
             a, r = divmod(num, den)
             qs.append(a)
             num, den = den, r
-        return ContinuedFraction(tuple(qs), _convergents_of(qs), exact=(den == 0))
+        return ContinuedFraction(tuple(qs), tuple(convergents(qs)), exact=(den == 0))
 
     # quadratic: iterate x -> 1/(x - floor(x)) in Q(sqrt(k)), all integer ops
     u, v, w, k = _quad_parts(alpha)
@@ -114,7 +106,7 @@ def continued_fraction(alpha: CertifiedReal, count: int) -> ContinuedFraction:
             nu, nv, nw = -nu, -nv, -nw
         g = math.gcd(math.gcd(abs(nu), abs(nv)), nw)
         u, v, w = nu // g, nv // g, nw // g
-    return ContinuedFraction(tuple(qs), _convergents_of(qs), exact=False)
+    return ContinuedFraction(tuple(qs), tuple(convergents(qs)), exact=False)
 
 
 def best_convergent_denominator(alpha: CertifiedReal, y: int) -> tuple[int, int]:

@@ -136,11 +136,9 @@ def integral_by_intervals(cfg: ExperimentConfig, x: int,
     for p in table.primes_upto(x).tolist():
         q_lo = (cfg.c1 * p + beta - 1).__floor__() + 1
         q_hi = (cfg.c2 * p + beta).__floor__()
-        pieces = IntervalSet()
-        for q in range(max(2, q_lo), q_hi + 1):
-            if table.is_prime(q):
-                pieces = pieces.union(j_interval(p, q, cfg.beta, I))
-        total += pieces.measure()
+        union = IntervalSet([piece for q in range(max(2, q_lo), q_hi + 1) if table.is_prime(q)
+                             for piece in j_interval(p, q, cfg.beta, I)])
+        total += union.measure()
     return total
 
 

@@ -102,6 +102,3 @@ class IntervalSet:
 
     def clip(self, lo, hi) -> "IntervalSet":
         return self.intersect(IntervalSet.single(lo, hi))
-
-
-EMPTY = IntervalSet()

@@ -1,9 +1,13 @@
 """Exact prime generation, 64-bit primality, and multiplicative helpers.
 
-The sieve is a segmented, odd-only Eratosthenes storing one bit per odd
-number; primality for arbitrary 64-bit integers uses the fixed
-deterministic Miller-Rabin witness set {2, 3, 5, ..., 37}, which is valid
-for every n < 3.3e24 and hence for the whole unsigned 64-bit range.
+One smallest-prime-factor table (``spf_table``) supplies the sieve's base
+primes and the factorizations of small ranges. The sieve is a segmented,
+odd-only Eratosthenes storing one bit per odd number; primality for
+arbitrary 64-bit integers uses the fixed deterministic Miller-Rabin
+witness set {2, 3, 5, ..., 37}, which is valid for every n < 3.3e24 and
+hence for the whole unsigned 64-bit range. ``factorize`` keeps no state
+between calls: each call sieves its own trial primes up to
+min(sqrt(n), 10^7), so its cost depends on n alone.
 """
 
 from __future__ import annotations
@@ -86,15 +90,19 @@ class PrimeTable:
         return int(np.searchsorted(self._primes, upto, side="right"))
 
 
-def _simple_prime_list(limit: int) -> np.ndarray:
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
-    mask = np.ones(limit + 1, dtype=bool)
-    mask[:2] = False
+def spf_table(limit: int) -> np.ndarray:
+    """Smallest prime factor of every n in [0, limit] as an int64 array.
+
+    Entries 0 and 1 hold 0 and 1; n >= 2 is prime iff spf[n] == n.
+    """
+    spf = np.zeros(limit + 1, dtype=np.int64)
     for p in range(2, math.isqrt(limit) + 1):
-        if mask[p]:
-            mask[p * p :: p] = False
-    return np.flatnonzero(mask).astype(np.int64)
+        if spf[p] == 0:  # no smaller prime divides p
+            multiples = spf[p * p :: p]
+            multiples[multiples == 0] = p
+    unset = spf == 0
+    spf[unset] = np.flatnonzero(unset)
+    return spf
 
 
 def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
@@ -109,8 +117,9 @@ def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
         raise ParameterError("segment_size must be >= 8")
     segment_size = (segment_size + 7) & ~7  # keep segment starts byte-aligned
 
-    base = _simple_prime_list(math.isqrt(limit))
-    base_odd = base[base > 2]
+    spf = spf_table(math.isqrt(limit))
+    ns = np.arange(spf.size, dtype=np.int64)
+    base_odd = ns[(spf == ns) & (ns > 2)]
 
     n_odds = max(0, (limit - 1) // 2)  # odds 3, 5, ..., <= limit
     packed = np.zeros((n_odds + 7) // 8, dtype=np.uint8)
@@ -170,37 +179,25 @@ def is_prime(n: int) -> bool:
     return True
 
 
-# --- factorization by trial division over a cached, growable prime list ---
-
-_FACTOR_LIMIT_CAP = 10_000_000
-_factor_primes: np.ndarray = _simple_prime_list(1 << 10)
-
-
-def _ensure_factor_primes(upto: int) -> np.ndarray:
-    global _factor_primes
-    if upto > _FACTOR_LIMIT_CAP:
-        upto = _FACTOR_LIMIT_CAP
-    if _factor_primes.size == 0 or int(_factor_primes[-1]) < upto:
-        _factor_primes = _simple_prime_list(upto)
-    return _factor_primes
+_FACTOR_TRIAL_CAP = 10_000_000  # trial primes never exceed this
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization [(p, e), ...] of 1 <= n < 2^63.
 
-    Trial division by cached primes up to sqrt(n); a remaining cofactor is
-    accepted if it is itself prime (checked deterministically), otherwise
-    the input is outside the supported range and rejected.
+    Trial division by the primes up to min(sqrt(n), _FACTOR_TRIAL_CAP),
+    sieved for this call; a remaining cofactor is accepted if it is itself
+    prime (checked deterministically), otherwise the input is outside the
+    supported range and rejected.
     """
     if n < 1 or n >= 1 << 63:
         raise ParameterError("factorize requires 1 <= n < 2^63")
     if n == 1:
         return []
-    root = math.isqrt(n)
-    table = _ensure_factor_primes(min(root + 1, _FACTOR_LIMIT_CAP))
+    trial = sieve_primes(max(2, min(math.isqrt(n), _FACTOR_TRIAL_CAP))).primes()
     out = []
     m = n
-    for p in table.tolist():
+    for p in trial.tolist():
         if p * p > m:
             break
         if m % p == 0:

@@ -25,8 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .certified import CertifiedReal, _AffineEval, beatty_prime_pairs
+from .congruence import divisibility_masks, mask_of, masked_count
 from .errors import GuardViolation, ParameterError
-from .primes import sieve_primes
+from .primes import sieve_primes, spf_table
 
 BIG_G_GUARD = 100_000
 WEIGHTS_Z_GUARD = 200
@@ -51,16 +52,13 @@ def density_squarefree(prime_factors) -> Fraction:
 
 def _squarefree_factored(z: int):
     """Yield (m, tuple_of_primes) for square-free m in [1, z)."""
-    spf = np.zeros(z, dtype=np.int64)
-    for p in range(2, z):
-        if spf[p] == 0:
-            spf[p::p][spf[p::p] == 0] = p
+    spf = spf_table(z - 1).tolist()
     yield 1, ()
     for m in range(2, z):
         mm = m
         ps = []
         while mm > 1:
-            p = int(spf[mm])
+            p = spf[mm]
             mm //= p
             if mm % p == 0:
                 ps = None
@@ -197,19 +195,6 @@ def quadratic_form_value(ctx: SieveContext) -> Fraction:
     return total
 
 
-def _kernel_masks(alpha: CertifiedReal, beta: CertifiedReal, x: int,
-                  primes: tuple[int, ...]):
-    """Histogram of {p in primes : p | n*floor(alpha n + beta)} bitmasks over n <= x."""
-    ev = _AffineEval(alpha, beta)
-    ns = np.arange(1, x + 1, dtype=np.int64)
-    fs = ev.floor_array(ns)
-    masks = np.zeros(x, dtype=np.int64)
-    for bit, p in enumerate(primes):
-        masks |= (((ns % p == 0) | (fs % p == 0)).astype(np.int64)) << bit
-    uniq, counts = np.unique(masks, return_counts=True)
-    return uniq.tolist(), counts.tolist()
-
-
 def sifted_count(alpha: CertifiedReal, beta: CertifiedReal, x: int, z: int) -> int:
     """|{n <= x : gcd(n*floor(alpha n + beta), P(z)) = 1}| by direct gcd test."""
     if z > x:
@@ -256,32 +241,22 @@ def selberg_upper_bound(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     if z > x:
         raise ParameterError("need z <= x")
     ctx = sieve_context(z)
-    uniq, counts = _kernel_masks(alpha, beta, x, ctx.primes)
-    uniq_arr = np.array(uniq, dtype=np.int64)
-    counts_arr = np.array(counts, dtype=np.int64)
+    ns = np.arange(1, x + 1, dtype=np.int64)
+    masks, counts = divisibility_masks(ns, _AffineEval(alpha, beta).floor_array(ns),
+                                       ctx.primes)
 
     ds = sorted(ctx.lambdas)
-
-    def bits_of(m: int) -> int:
-        bits = 0
-        for i, p in enumerate(ctx.primes):
-            if m % p == 0:
-                bits |= 1 << i
-        return bits
-
-    dbits = {d: bits_of(d) for d in ds}
     M = math.lcm(*(ctx.lambdas[d].denominator for d in ds))
-    lint = {d: int(ctx.lambdas[d] * M) for d in ds}
 
     # lambda integer sums can exceed int64; accumulate per-mask in Python ints
-    tvals = [0] * len(uniq)
+    tvals = [0] * masks.size
     for d in ds:
-        b, l = dbits[d], lint[d]
-        for i in np.flatnonzero((uniq_arr & b) == b).tolist():
+        b, l = mask_of(d, ctx.primes), int(ctx.lambdas[d] * M)
+        for i in np.flatnonzero((masks & b) == b).tolist():
             tvals[i] += l
-    qnum = sum(c * t * t for c, t in zip(counts, tvals))
+    qnum = sum(c * t * t for c, t in zip(counts.tolist(), tvals))
     quadratic = Fraction(qnum, M * M)
-    sifted = sum(c for m, c in zip(uniq, counts) if m == 0)
+    sifted = int(counts[masks == 0].sum())
 
     # expanded side: group lambda pairs by lcm, use exact congruence counts
     pair_coeff: dict[int, Fraction] = {}
@@ -294,8 +269,7 @@ def selberg_upper_bound(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     remainder = Fraction(0)
     qf_direct = Fraction(0)
     for D, coeff in pair_coeff.items():
-        bits = bits_of(D)
-        a_d = int(counts_arr[(uniq_arr & bits) == bits].sum())
+        a_d = masked_count(masks, counts, mask_of(D, ctx.primes))
         gD = Fraction(1)
         DD = D
         for p in ctx.primes:

@@ -1,4 +1,6 @@
+import os
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +8,12 @@ from beattylab import sieve_primes
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
+
+# tests that start `python -m beattylab.cli` import the package from src/,
+# whether or not the suite was started with PYTHONPATH=src
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [_SRC] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 
 @pytest.fixture(scope="session")

@@ -30,6 +30,23 @@ def trial_primes_upto(limit: int) -> list[int]:
     return [n for n in range(2, limit + 1) if trial_is_prime(n)]
 
 
+def trial_factorize(n: int) -> list[tuple[int, int]]:
+    """[(p, e), ...] for n >= 1 by trial division with every d >= 2."""
+    out = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            out.append((d, e))
+        d += 1
+    if n > 1:
+        out.append((n, 1))
+    return out
+
+
 def decimal_floor(value: Decimal, n: int, shift: Decimal = Decimal(0)) -> int:
     """floor(value * n + shift) via 50-digit decimal; safe away from integers."""
     v = value * n + shift

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from beattylab import (BoundaryAmbiguous, CertifiedReal, ParameterError,
-                       beatty_prime_pairs, floor_affine, fractional_in,
-                       normalized_statistic)
+                       beatty_prime_pairs, continued_fraction, floor_affine,
+                       fractional_in, normalized_statistic)
 from beattylab.certified import _AffineEval
 from oracles import PHI, SQRT2, SQRT3, decimal_beatty_pairs, decimal_floor
 
@@ -168,6 +168,36 @@ def test_enclosure_refine_shrinks():
     assert lo2 <= hi2
     clone = cr.clone()
     assert clone.enclosure(cr._bits) == (lo2, hi2)
+
+
+def doubling_bracket(convs, bits):
+    """The cf bracket by the doubling rule: 2, 4, 8, ... leading convergents
+    until the bracket is at most 2^-bits wide or the prefix runs out."""
+    def bracket(n):
+        head = convs[:n]
+        if len(head) == 1:
+            h, k = head[0]
+            return Fraction(h, k), Fraction(h + 1, k)
+        (h2, k2), (h1, k1) = head[-2], head[-1]
+        return tuple(sorted((Fraction(h1, k1), Fraction(h1 + h2, k1 + k2))))
+
+    n = 2
+    lo, hi = bracket(n)
+    while hi - lo > Fraction(1, 1 << bits) and n < len(convs):
+        n = min(len(convs), 2 * n)
+        lo, hi = bracket(n)
+    return lo, hi
+
+
+def test_cf_enclosure_matches_doubling_rule():
+    rng = random.Random(300)
+    qs = [rng.randint(0, 5)] + [rng.randint(1, 40) for _ in range(299)]
+    convs = continued_fraction(CertifiedReal.from_partial_quotients(qs), 300).convergents
+    for bits in (16, 64, 128, 512):
+        fresh = CertifiedReal.from_partial_quotients(qs)
+        assert fresh.enclosure(bits) == doubling_bracket(convs, bits), bits
+    # a one-term prefix brackets [a0, a0 + 1]
+    assert CertifiedReal.parse("cf:3").enclosure(64) == (3, 4)
 
 
 def test_compare_fraction():

@@ -13,9 +13,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from beattylab import (CertifiedReal, ExperimentConfig, ParameterError, continued_fraction,
-                       fractional_hits, integral_monte_carlo, sample_alphas, sieve_primes)
+from beattylab import (CertifiedReal, CongruenceQuery, ExperimentConfig, GuardViolation,
+                       ParameterError, continued_fraction, count_direct, deviation_report,
+                       fractional_hits, integral_monte_carlo, sample_alphas,
+                       selberg_upper_bound, sieve_primes, sifted_count)
+from beattylab import congruence
 from beattylab.certified import _HEADROOM, _MIN_SHIFT, _AffineEval
+from beattylab.congruence import MASK_PRIME_LIMIT, divisibility_masks, masked_count
 from beattylab.diophantine import _rational_hits
 
 R = CertifiedReal.rational
@@ -235,3 +239,76 @@ def test_rational_hits_matches_fraction_loop():
     windows = [(Fraction(0), Fraction(1, 2))]
     beta = Fraction(1, 1 << 70)
     assert _rational_hits(3, 1, beta, 50, windows) == old_rational_hits(3, 1, beta, 50, windows)
+
+
+# --- congruence and Selberg counts: the divisibility masks against direct counts ---
+
+COUNT_KINDS = ("rational", "quadratic", "phi")
+BETAS = (R(0), R(1, 2))
+
+
+def count_alpha(kind: str, rng) -> CertifiedReal:
+    if kind == "rational":
+        return R(rng.randint(1, 500), rng.randint(1, 300))
+    return quadratic(rng) if kind == "quadratic" else CertifiedReal.phi()
+
+
+def test_mask_prime_limit_edges():
+    ps = sieve_primes(400).primes().tolist()[: MASK_PRIME_LIMIT + 1]
+    ns = np.arange(1, 5_001, dtype=np.int64)
+    fs = _AffineEval(CertifiedReal.phi(), R(1, 2)).floor_array(ns)
+    masks, counts = divisibility_masks(ns, fs, ps[:MASK_PRIME_LIMIT])  # at the limit
+    assert masks.min() >= 0 and counts.sum() == ns.size
+    for bit in (0, 1, MASK_PRIME_LIMIT - 2, MASK_PRIME_LIMIT - 1):
+        p = ps[bit]
+        assert masked_count(masks, counts, 1 << bit) == int(((ns * fs) % p == 0).sum()), p
+    with pytest.raises(GuardViolation, match=f"{MASK_PRIME_LIMIT + 1} primes"):
+        divisibility_masks(ns, fs, ps)  # one past it
+
+
+@pytest.mark.parametrize("d_max, mask_path", [(307, True), (311, False)])
+def test_deviation_report_at_and_past_the_mask_limit(monkeypatch, d_max, mask_path):
+    # the primes up to 307 are exactly MASK_PRIME_LIMIT; 311 is one more
+    assert len(sieve_primes(d_max).primes()) == MASK_PRIME_LIMIT + (not mask_path)
+    calls = []
+    monkeypatch.setattr(congruence, "divisibility_masks",
+                        lambda *a: calls.append(1) or divisibility_masks(*a))
+    alpha, beta, x = CertifiedReal.sqrt(3), R(1, 2), 3_000
+    rows = deviation_report(alpha, beta, x, d_max)
+    assert bool(calls) == mask_path
+    assert [r.count for r in rows] == \
+        [count_direct(CongruenceQuery(alpha, beta, x, r.d)) for r in rows]
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_deviation_counts_match_direct(kind):
+    rng = random.Random(f"deviation:{kind}")
+    for trial in range(3):
+        alpha = count_alpha(kind, rng)
+        x = rng.randint(100, 20_000)
+        d_max = rng.randint(2, 100)
+        for beta in BETAS:
+            rows = deviation_report(alpha, beta, x, d_max)
+            direct = [count_direct(CongruenceQuery(alpha, beta, x, r.d)) for r in rows]
+            assert [r.count for r in rows] == direct, (kind, trial, alpha, beta, x, d_max)
+    # one d_max above the mask limit: the per-d fallback
+    alpha, x = count_alpha(kind, rng), rng.randint(400, 2_000)
+    rows = deviation_report(alpha, BETAS[1], x, 331)
+    assert [r.count for r in rows] == \
+        [count_direct(CongruenceQuery(alpha, BETAS[1], x, r.d)) for r in rows]
+
+
+@pytest.mark.parametrize("kind", COUNT_KINDS)
+def test_selberg_sifted_matches_sifted_count(kind):
+    rng = random.Random(f"selberg:{kind}")
+    for trial in range(3):
+        alpha = count_alpha(kind, rng)
+        x = rng.randint(60, 20_000)
+        z = rng.choice((2, 3, 7, 12, 30, 60))
+        for beta in BETAS:
+            bound = selberg_upper_bound(alpha, beta, x, z)
+            assert bound.sifted == sifted_count(alpha, beta, x, z), (kind, trial, alpha, x, z)
+    # the largest weight range: 46 primes in the mask
+    alpha = count_alpha(kind, rng)
+    bound = selberg_upper_bound(alpha, R(0), 2_000, 200)
+    assert bound.sifted == sifted_count(alpha, R(0), 2_000, 200)

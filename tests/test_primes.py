@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,8 @@ import sympy
 
 from beattylab import (ParameterError, factorize, is_prime, mobius, omega,
                        sieve_primes, squarefree_divisors)
-from oracles import trial_is_prime
+from beattylab.primes import spf_table
+from oracles import trial_factorize, trial_is_prime
 
 
 def test_small_sieve_exhaustive():
@@ -115,6 +117,37 @@ def test_factorize():
     assert factorize(360) == [(2, 3), (3, 2), (5, 1)]
     assert factorize(2 ** 61 - 1) == [(2 ** 61 - 1, 1)]
     # composite with both factors beyond the trial-division table
+    with pytest.raises(ParameterError):
+        factorize((2 ** 31 - 1) ** 2)
+
+
+def test_spf_table_matches_trial_division():
+    for limit in (0, 1, 2, 3, 4, 25, 2_000):
+        spf = spf_table(limit).tolist()
+        assert spf[:2] == [0, 1][: limit + 1]
+        assert spf[2:] == [trial_factorize(n)[0][0] for n in range(2, limit + 1)]
+
+
+def test_factorization_state_independent():
+    # a large factorization must leave nothing behind that changes later results
+    def check_small_range():
+        for n in range(1, 2_001):
+            fac = trial_factorize(n)
+            assert factorize(n) == fac, n
+            squarefree = all(e == 1 for _, e in fac)
+            assert mobius(n) == ((-1) ** len(fac) if squarefree else 0), n
+            if squarefree:
+                small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+                assert squarefree_divisors(n) == sorted({*small, *(n // d for d in small)}), n
+            else:
+                with pytest.raises(ParameterError):
+                    squarefree_divisors(n)
+
+    check_small_range()
+    assert sympy.isprime(10 ** 14 + 31) and factorize(10 ** 14 + 31) == [(10 ** 14 + 31, 1)]
+    check_small_range()
+    assert factorize(999983 * 1000003) == [(999983, 1), (1000003, 1)]
+    check_small_range()
     with pytest.raises(ParameterError):
         factorize((2 ** 31 - 1) ** 2)
 
