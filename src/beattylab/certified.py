@@ -233,10 +233,6 @@ class CertifiedReal:
 
     # --- introspection ---
 
-    @property
-    def is_exact(self) -> bool:
-        return self.kind == "rational"
-
     def as_fraction(self) -> Fraction | None:
         return self._fr if self.kind == "rational" else None
 
@@ -588,6 +584,17 @@ def pair_hits(ev: _AffineEval, ps: np.ndarray, table: PrimeTable) -> tuple[np.nd
     return qs, table.membership_array(qs)
 
 
+def companion_limit(evs, x: int) -> int:
+    """Prime-table limit covering every p <= x and each companion floor(alpha*p + beta).
+
+    max(2, x, U), U the largest bound on floor(alpha*x + beta) over ``evs`` from
+    the outward-rounded bracket ends at 2^64: the floor or one more for x < 2^63
+    (a cf prefix adds its enclosure width). It never raises BoundaryAmbiguous.
+    """
+    ends = [ev._ends(64) for ev in evs]
+    return max(2, x, *((ahi * x + bhi) >> 64 for _, ahi, _, bhi in ends))
+
+
 def beatty_prime_pairs(alpha: CertifiedReal, beta: CertifiedReal, x: int,
                        primes: PrimeTable, want_pairs: bool = False) -> PairCount:
     """Count primes p <= x whose companion floor(alpha*p + beta) is prime.
@@ -613,8 +620,8 @@ def beatty_prime_pairs(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     return PairCount(x=x, count=int(hits.sum()), pairs=pairs)
 
 
-def normalized_statistic(count: int, x: int) -> float:
-    """count * (log x)^2 / x, the display statistic (double precision)."""
+def normalized_statistic(count, x: int) -> float:
+    """count * (log x)^2 / x as a float, the display statistic; count may be a Fraction."""
     if x < 3:
         raise ParameterError("normalized_statistic requires x >= 3")
-    return count * math.log(x) ** 2 / x
+    return float(count) * math.log(x) ** 2 / x

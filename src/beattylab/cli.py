@@ -13,17 +13,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from .certified import CertifiedReal, _AffineEval, beatty_prime_pairs, normalized_statistic
+from .certified import (CertifiedReal, _AffineEval, beatty_prime_pairs, companion_limit,
+                        normalized_statistic)
 from .congruence import CongruenceQuery, count_direct, count_mobius, deviation_report
 from .diophantine import farey_union, fractional_hits_report, lemma1_set, scaling_preimage_bound
 from .errors import BoundaryAmbiguous, GuardViolation, ParameterError
-from .experiment import (ExperimentConfig, integral_exact, integral_monte_carlo,
+from .experiment import (ExperimentConfig, _top_eval, integral_exact, integral_monte_carlo,
                          scan_alpha, scan_svg)
 from .intervals import IntervalSet
 from .primes import sieve_primes
@@ -113,9 +113,7 @@ def _apply_config(parser: _Parser, sub: str, argv: list[str]) -> list[str]:
 def _cmd_pairs(args):
     alpha = CertifiedReal.parse(args.alpha)
     beta = CertifiedReal.parse(args.beta)
-    ev = _AffineEval(alpha, beta)
-    limit = max(2, args.x, ev.floor(args.x))
-    table = sieve_primes(limit)
+    table = sieve_primes(companion_limit([_AffineEval(alpha, beta)], args.x))
     pc = beatty_prime_pairs(alpha, beta, args.x, table, want_pairs=args.list)
     extras = {"cmd": "pairs", "alpha": args.alpha, "beta": args.beta, "x": args.x}
     if args.list:
@@ -155,12 +153,13 @@ def _cmd_integral(args):
     cfg = ExperimentConfig(_fraction(args.c1), _fraction(args.c2),
                            CertifiedReal.parse(args.beta), (args.x,),
                            max(100, args.mc_samples or 100), args.seed)
-    exact = integral_exact(cfg, args.x)
-    ratio = float(exact) * math.log(args.x) ** 2 / (args.x * float(cfg.c2 - cfg.c1)) \
+    table = sieve_primes(companion_limit([_top_eval(cfg)], args.x))
+    exact = integral_exact(cfg, args.x, table)
+    ratio = normalized_statistic(exact / (cfg.c2 - cfg.c1), args.x) \
         if args.x >= 3 else float(exact)
     mc_mean = mc_err = ""
     if args.mc_samples:
-        mc = integral_monte_carlo(cfg, args.x)
+        mc = integral_monte_carlo(cfg, args.x, table)
         mc_mean, mc_err = repr(mc.mean), repr(mc.stderr)
     extras = {"cmd": "integral", "c1": args.c1, "c2": args.c2, "beta": args.beta,
               "x": args.x, "mc_samples": args.mc_samples, "seed": args.seed}

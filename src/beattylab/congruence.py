@@ -9,6 +9,7 @@ histogram that the deviation table and the Selberg sums share.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ import numpy as np
 
 from .certified import CertifiedReal, _AffineEval, fractional_in
 from .errors import GuardViolation, ParameterError
-from .primes import distinct_prime_factors, mobius, squarefree_divisors
+from .primes import distinct_prime_factors, mobius, squarefree_below, squarefree_divisors
 
 DEVIATION_DMAX_GUARD = 10_000
 MASK_PRIME_LIMIT = 63  # one bit per prime in a non-negative int64 mask
@@ -121,10 +122,11 @@ def main_term(x: int, d: int) -> Fraction:
     """(x/d) * prod_{p | d} (2 - 1/p), exact."""
     if d < 1 or mobius(d) == 0:
         raise ParameterError(f"d must be square-free and >= 1, got {d}")
-    out = Fraction(x, d)
-    for p in distinct_prime_factors(d):
-        out *= Fraction(2 * p - 1, p)
-    return out
+    return _main_term(x, d, distinct_prime_factors(d))
+
+
+def _main_term(x: int, d: int, prime_factors) -> Fraction:
+    return Fraction(x, d) * math.prod(Fraction(2 * p - 1, p) for p in prime_factors)
 
 
 def divisibility_masks(ns: np.ndarray, fs: np.ndarray,
@@ -178,19 +180,19 @@ def deviation_report(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     ns = np.arange(1, x + 1, dtype=np.int64)
     fs = ev.floor_array(ns)
 
-    sf = [d for d in range(1, d_max + 1) if mobius(d) != 0]
-    ps = sorted({p for d in sf for p in distinct_prime_factors(d)})
+    sf = list(squarefree_below(d_max + 1))
+    ps = sorted({p for _, d_primes in sf for p in d_primes})
 
     if len(ps) <= MASK_PRIME_LIMIT:
         masks, counts = divisibility_masks(ns, fs, ps)
-        counts_by_d = {d: masked_count(masks, counts, mask_of(d, ps)) for d in sf}
+        counts_by_d = {d: masked_count(masks, counts, mask_of(d, ps)) for d, _ in sf}
     else:  # too many primes for one mask: count each d directly
-        counts_by_d = {d: int((((ns % d) * (fs % d)) % d == 0).sum()) for d in sf}
+        counts_by_d = {d: int((((ns % d) * (fs % d)) % d == 0).sum()) for d, _ in sf}
 
     rows = []
-    for d in sf:
+    for d, d_primes in sf:
         cnt = counts_by_d[d]
-        main = main_term(x, d)
+        main = _main_term(x, d, d_primes)
         err = abs(cnt - main)
         rows.append(DeviationRow(d, cnt, main, err, err * d / x))
     return rows

@@ -20,7 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certified import CertifiedReal, _AffineEval, normalized_statistic, pair_hits
+from .certified import (CertifiedReal, _AffineEval, companion_limit, normalized_statistic,
+                        pair_hits)
 from .errors import ParameterError
 from .intervals import IntervalSet
 from .primes import PrimeTable, is_prime, sieve_primes
@@ -82,9 +83,9 @@ def _require_exact_beta(cfg: ExperimentConfig) -> Fraction:
     return b
 
 
-def _integral_table(cfg: ExperimentConfig, x: int, beta: Fraction) -> PrimeTable:
-    qmax = int((cfg.c2 * x + beta).__floor__()) + 1
-    return sieve_primes(max(2, x, qmax))
+def _top_eval(cfg: ExperimentConfig) -> _AffineEval:
+    """Evaluator at alpha = c2: its companions bound those of every alpha in [c1, c2]."""
+    return _AffineEval(CertifiedReal.rational(cfg.c2), cfg.beta)
 
 
 def integral_exact(cfg: ExperimentConfig, x: int,
@@ -96,7 +97,7 @@ def integral_exact(cfg: ExperimentConfig, x: int,
     per prime need clipped-measure arithmetic.
     """
     beta = _require_exact_beta(cfg)
-    table = primes if primes is not None else _integral_table(cfg, x, beta)
+    table = primes if primes is not None else sieve_primes(companion_limit([_top_eval(cfg)], x))
     c1, c2 = cfg.c1, cfg.c2
 
     terms = []
@@ -130,7 +131,7 @@ def integral_by_intervals(cfg: ExperimentConfig, x: int,
                           primes: PrimeTable | None = None) -> Fraction:
     """Same integral assembled the other way: sum_p mes(union_q J_{p,q} cap I)."""
     beta = _require_exact_beta(cfg)
-    table = primes if primes is not None else _integral_table(cfg, x, beta)
+    table = primes if primes is not None else sieve_primes(companion_limit([_top_eval(cfg)], x))
     I = IntervalSet.single(cfg.c1, cfg.c2)
     total = Fraction(0)
     for p in table.primes_upto(x).tolist():
@@ -153,11 +154,10 @@ def integral_enclosure(cfg: ExperimentConfig, x: int,
         v = integral_exact(cfg, x)
         return v, v
     blo, bhi = cfg.beta.enclosure(bits)
-    raw = []
-    for b in (blo, bhi):
-        sub = ExperimentConfig(cfg.c1, cfg.c2, CertifiedReal.rational(b),
-                               cfg.x_grid, cfg.samples, cfg.seed, cfg.delta)
-        raw.append(integral_exact(sub, x))
+    subs = [ExperimentConfig(cfg.c1, cfg.c2, CertifiedReal.rational(b),
+                             cfg.x_grid, cfg.samples, cfg.seed, cfg.delta) for b in (blo, bhi)]
+    table = sieve_primes(companion_limit([_top_eval(subs[1])], x))  # bhi's table covers blo
+    raw = [integral_exact(sub, x, table) for sub in subs]
     # the sum is continuous piecewise-linear in beta with |slope| bounded by
     # sum_p (n_p + 1) * 2/p <= (2*(c2 - c1) + 6) * x, since n_p <= (c2-c1)p + 2
     slack = (bhi - blo) * (2 * (cfg.c2 - cfg.c1) + 6) * x
@@ -192,10 +192,7 @@ def integral_monte_carlo(cfg: ExperimentConfig, x: int,
     """Plain Monte Carlo estimate of the integral with a seeded dyadic stream."""
     if cfg.samples < 100:
         raise ParameterError("Monte Carlo needs samples >= 100")
-    beta = cfg.beta.as_fraction()
-    beta_hi = beta if beta is not None else cfg.beta.enclosure(32)[1]
-    qmax_bound = int((cfg.c2 * x + beta_hi).__floor__()) + 2
-    table = primes if primes is not None else sieve_primes(max(2, x, qmax_bound))
+    table = primes if primes is not None else sieve_primes(companion_limit([_top_eval(cfg)], x))
     ps = table.primes_upto(x)
     counts = []
     for a in sample_alphas(cfg):
@@ -223,13 +220,12 @@ def lower_bound_ratio(cfg: ExperimentConfig, x: int,
     """Normalized integral, with the prime-harmonic comparison series."""
     if x < 100:
         raise ParameterError("lower_bound_ratio needs x >= 100")
-    beta = _require_exact_beta(cfg)
-    table = primes if primes is not None else _integral_table(cfg, x, beta)
+    table = primes if primes is not None else sieve_primes(companion_limit([_top_eval(cfg)], x))
     val = integral_exact(cfg, x, table)
-    norm = math.log(x) ** 2 / (x * float(cfg.c2 - cfg.c1))
     s = sum(1.0 / math.log(p) for p in table.primes_upto(x).tolist())
-    return RatioReport(x=x, integral=val, ratio=float(val) * norm,
-                       sum_inv_log_ratio=s * math.log(x) ** 2 / x)
+    return RatioReport(x=x, integral=val,
+                       ratio=normalized_statistic(val / (cfg.c2 - cfg.c1), x),
+                       sum_inv_log_ratio=normalized_statistic(s, x))
 
 
 def scan_alpha(cfg: ExperimentConfig, pins: tuple[str, ...] = (),
@@ -243,24 +239,16 @@ def scan_alpha(cfg: ExperimentConfig, pins: tuple[str, ...] = (),
     if threads < 1:
         raise ParameterError("threads must be >= 1")
     xmax = max(cfg.x_grid)
-    jobs: list[tuple[str, CertifiedReal]] = []
-    for spec in pins:
-        cr = CertifiedReal.parse(spec)
-        jobs.append((cr.spec_string(), cr))
-    for a in sample_alphas(cfg):
-        cr = CertifiedReal.rational(a)
-        jobs.append((cr.spec_string(), cr))
+    alphas = [CertifiedReal.parse(spec) for spec in pins]
+    alphas += [CertifiedReal.rational(a) for a in sample_alphas(cfg)]
+    jobs = [(cr.spec_string(), _AffineEval(cr, cfg.beta)) for cr in alphas]
 
-    # one shared table big enough for every job
-    limit = max(2, xmax)
-    for _, cr in jobs:
-        limit = max(limit, _AffineEval(cr, cfg.beta).floor(xmax))
-    table = sieve_primes(limit)
+    table = sieve_primes(companion_limit([ev for _, ev in jobs], xmax))
     ps = table.primes_upto(xmax)
 
     def run(job):
-        spec, cr = job
-        _, hits = pair_hits(_AffineEval(cr, cfg.beta), ps, table)
+        spec, ev = job
+        _, hits = pair_hits(ev, ps, table)
         rows = []
         for x in cfg.x_grid:
             idx = int(table.count(x))

@@ -105,6 +105,23 @@ def spf_table(limit: int) -> np.ndarray:
     return spf
 
 
+def squarefree_below(z: int):
+    """Yield (m, primes of m ascending) for each square-free m in [1, z), from one spf_table."""
+    spf = spf_table(max(z - 1, 0)).tolist()
+    for m in range(1, z):
+        mm = m
+        ps = []
+        while mm > 1:
+            p = spf[mm]
+            mm //= p
+            if mm % p == 0:
+                ps = None
+                break
+            ps.append(p)
+        if ps is not None:
+            yield m, tuple(ps)
+
+
 def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
     """Build a PrimeTable for [2, limit] with segmented construction.
 
@@ -122,7 +139,8 @@ def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
     base_odd = ns[(spf == ns) & (ns > 2)]
 
     n_odds = max(0, (limit - 1) // 2)  # odds 3, 5, ..., <= limit
-    packed = np.zeros((n_odds + 7) // 8, dtype=np.uint8)
+    # at least one byte, so membership_array can read bit 0 for every lane
+    packed = np.zeros(max(1, (n_odds + 7) // 8), dtype=np.uint8)
     prime_chunks = [np.array([2], dtype=np.int64)] if limit >= 2 else []
 
     lo_idx = 0

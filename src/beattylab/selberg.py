@@ -24,10 +24,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from .certified import CertifiedReal, _AffineEval, beatty_prime_pairs
+from .certified import (CertifiedReal, _AffineEval, beatty_prime_pairs, companion_limit,
+                        normalized_statistic)
 from .congruence import divisibility_masks, mask_of, masked_count
 from .errors import GuardViolation, ParameterError
-from .primes import sieve_primes, spf_table
+from .primes import sieve_primes, squarefree_below
 
 BIG_G_GUARD = 100_000
 WEIGHTS_Z_GUARD = 200
@@ -50,24 +51,6 @@ def density_squarefree(prime_factors) -> Fraction:
     return out
 
 
-def _squarefree_factored(z: int):
-    """Yield (m, tuple_of_primes) for square-free m in [1, z)."""
-    spf = spf_table(z - 1).tolist()
-    yield 1, ()
-    for m in range(2, z):
-        mm = m
-        ps = []
-        while mm > 1:
-            p = spf[mm]
-            mm //= p
-            if mm % p == 0:
-                ps = None
-                break
-            ps.append(p)
-        if ps is not None:
-            yield m, tuple(ps)
-
-
 def _tree_sum(fracs) -> Fraction:
     items = list(fracs)
     if not items:
@@ -86,7 +69,7 @@ def big_g(z: int) -> Fraction:
         raise ParameterError("z must be >= 2")
     if z > BIG_G_GUARD:
         raise GuardViolation(f"z {z} exceeds exact-enumeration guard {BIG_G_GUARD}")
-    return _tree_sum(density_squarefree(ps) for _, ps in _squarefree_factored(z))
+    return _tree_sum(density_squarefree(ps) for _, ps in squarefree_below(z))
 
 
 def normalizer(z: int) -> Fraction:
@@ -102,7 +85,7 @@ def normalizer(z: int) -> Fraction:
             out *= weight_density(p)
         return out
 
-    return _tree_sum(hval(ps) for _, ps in _squarefree_factored(z))
+    return _tree_sum(hval(ps) for _, ps in squarefree_below(z))
 
 
 def product_lower(z: int) -> Fraction:
@@ -143,7 +126,7 @@ def sieve_context(z: int) -> SieveContext:
     if z > WEIGHTS_Z_GUARD:
         raise GuardViolation(f"z {z} exceeds weight-enumeration guard {WEIGHTS_Z_GUARD}")
 
-    sf = list(_squarefree_factored(z))
+    sf = list(squarefree_below(z))
     hv = {}
     gv = {}
     for m, ps in sf:
@@ -300,11 +283,9 @@ def selberg_upper_bound(alpha: CertifiedReal, beta: CertifiedReal, x: int,
 
 
 def eighth_root_ceil(x: int) -> int:
-    """Smallest z with z^8 >= x."""
-    z = max(1, int(x ** 0.125) - 2)
-    while z ** 8 < x:
-        z += 1
-    return z
+    """Smallest z >= 1 with z^8 >= x, in integer arithmetic."""
+    z = math.isqrt(math.isqrt(math.isqrt(max(x, 1))))  # exactly floor(x^(1/8))
+    return z if z ** 8 >= x else z + 1
 
 
 @dataclass(frozen=True)
@@ -339,8 +320,7 @@ def pair_bound_check(alpha: CertifiedReal, beta: CertifiedReal, x: int,
         m += 1
     threshold = z + m
 
-    qmax = ev.floor(x)
-    table = sieve_primes(max(x, qmax, 2))
+    table = sieve_primes(companion_limit([ev], x))
     pc = beatty_prime_pairs(alpha, beta, x, table, want_pairs=True)
 
     pz = 1
@@ -364,8 +344,8 @@ def pair_bound_check(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     bstat = None
     if z <= WEIGHTS_Z_GUARD:
         qbound = selberg_upper_bound(alpha, beta, x, z).quadratic_form_bound
-        bstat = float(qbound) * math.log(x) ** 2 / x
-    stat = pc.count * math.log(x) ** 2 / x
+        bstat = normalized_statistic(qbound, x)
+    stat = normalized_statistic(pc.count, x)
     return PairBoundReport(
         x=x, z=z, threshold=threshold, pair_count=pc.count,
         pairs_below_threshold=below, containment_ok=ok, sifted=sifted,

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from beattylab import sieve_primes
+import beattylab.cli
+from beattylab import big_g, sieve_primes
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
@@ -30,3 +31,24 @@ def table_30k():
 def table_1m5():
     # covers q = floor(alpha * 1e6) for alpha up to ~1.5
     return sieve_primes(1_500_000)
+
+
+@pytest.fixture(scope="session")
+def criterion_4_big_g():
+    # big_g(1e5) takes about a second; criterion 4 and its strict-xfail twin share the values
+    return {z: big_g(z) for z in (10, 10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)}
+
+
+@pytest.fixture
+def sieve_calls(monkeypatch):
+    """Limits of every sieve_primes call made through a beattylab module binding."""
+    calls = []
+    real = beattylab.primes.sieve_primes
+
+    def counting(limit, *args, **kwargs):
+        calls.append(limit)
+        return real(limit, *args, **kwargs)
+
+    for mod in (beattylab.primes, beattylab.experiment, beattylab.cli, beattylab.selberg):
+        monkeypatch.setattr(mod, "sieve_primes", counting)
+    return calls

@@ -22,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from beattylab import (CertifiedReal, CongruenceQuery, ExperimentConfig,
-                       IntervalSet, beatty_prime_pairs, big_g, count_direct,
+                       IntervalSet, beatty_prime_pairs, count_direct,
                        count_mobius, deviation_report, eighth_root_ceil,
                        integral_exact, integral_monte_carlo, lemma1_set,
                        lower_bound_ratio, normalized_statistic, normalizer,
@@ -97,15 +97,15 @@ def test_criterion_03_selberg_inequality_and_identity():
                      f"on {runs} (alpha, x, z) runs", t0)
 
 
-def test_criterion_04_normalizer_growth():
+def test_criterion_04_normalizer_growth(criterion_4_big_g):
     t0 = time.time()
     zs = (10, 10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)
     jr, gr, cr = {}, {}, {}
     for z in zs:
         l2 = math.log(z) ** 2
         jr[z] = float(normalizer(z)) / l2
-        gr[z] = float(big_g(z)) / l2
-        cr[z] = float(big_g(z) / product_lower(z))
+        gr[z] = float(criterion_4_big_g[z]) / l2
+        cr[z] = float(criterion_4_big_g[z] / product_lower(z))
     ok = all(jr[z] >= 0.5 for z in zs)
     ok = ok and all(0.02 < cr[z] < 0.6 for z in zs)  # recorded comparison band
     detail = ("normalizer/(log z)^2 = "
@@ -122,8 +122,8 @@ def test_criterion_04_normalizer_growth():
                           "big_g/(log z)^2 ~ 0.35..0.19 for z >= 1e2; the 0.5 "
                           "floor is the sharp asymptotic constant of the "
                           "Lambda^2 normalizer sum h(m), not of big_g")
-def test_criterion_04_display_sum_floor_fails():
-    ratios = {z: float(big_g(z)) / math.log(z) ** 2
+def test_criterion_04_display_sum_floor_fails(criterion_4_big_g):
+    ratios = {z: float(criterion_4_big_g[z]) / math.log(z) ** 2
               for z in (10, 10 ** 2, 10 ** 3, 10 ** 4, 10 ** 5)}
     print(f"\nACCEPTANCE 4 (display-sum clause): big_g ratios {ratios}")
     assert all(v >= 0.5 for v in ratios.values())

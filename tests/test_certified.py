@@ -8,8 +8,8 @@ import pytest
 
 from beattylab import (BoundaryAmbiguous, CertifiedReal, ParameterError,
                        beatty_prime_pairs, continued_fraction, floor_affine,
-                       fractional_in, normalized_statistic)
-from beattylab.certified import _AffineEval
+                       fractional_in, normalized_statistic, sieve_primes)
+from beattylab.certified import _AffineEval, companion_limit
 from oracles import PHI, SQRT2, SQRT3, decimal_beatty_pairs, decimal_floor
 
 R = CertifiedReal.rational
@@ -234,6 +234,43 @@ def test_beatty_pairs_guards(table_3k):
         beatty_prime_pairs(R(-1), ZERO, 10, table_3k)
 
 
+def test_companion_limit_is_the_floor_or_one_more():
+    # alpha > 1 and beta >= 0, so the limit is U itself, never max(2, x)
+    rng = random.Random(21)
+    cases = [
+        (R(22, 7), ZERO), (R(7, 5), R(1, 3)),                       # rational
+        (R(2 ** 128 + rng.getrandbits(128), 2 ** 128), HALF),        # 128-bit dyadic
+        (CertifiedReal.sqrt(2), HALF), (CertifiedReal.phi(), R(2, 3)),  # quadratic
+        (CertifiedReal.sqrt(3), CertifiedReal.sqrt(5, Fraction(1, 9))),  # two-sqrt
+        (CertifiedReal.from_partial_quotients([1] + [2] * 60), ZERO),    # cf alpha
+        (CertifiedReal.sqrt(2), CertifiedReal.from_partial_quotients([0] + [1, 3] * 40)),
+    ]
+    xs = [2, 3, 10, 999, 10 ** 6 + 3, 10 ** 9 + 7] + [rng.randrange(2, 10 ** 12) for _ in range(40)]
+    for alpha, beta in cases:
+        ev = _AffineEval(alpha, beta)
+        for x in xs:
+            f = ev.floor(x)
+            assert companion_limit([ev], x) in (f, f + 1), (alpha, beta, x)
+
+
+def test_companion_limit_edges():
+    ev = _AffineEval(R(3, 2), ZERO)
+    for x in (2, 4, 1000, 10 ** 6, 10 ** 12):  # alpha*x + beta exactly an integer
+        assert companion_limit([ev], x) == 3 * x // 2
+    assert companion_limit([_AffineEval(R(1, 2), ZERO), ev], 1000) == 1500
+    assert companion_limit([_AffineEval(R(1, 2), R(-5))], 1) == 2
+    assert companion_limit([], 7) == 7
+    assert beatty_prime_pairs(R(3, 2), ZERO, 1000, sieve_primes(1500)).count > 0
+    with pytest.raises(ParameterError, match=r"^prime table limit 1499 < "
+                       r"max\(x, floor\(alpha\*x\+beta\)\) = 1500$"):
+        beatty_prime_pairs(R(3, 2), ZERO, 1000, sieve_primes(1499))
+    # a prefix too short to certify the floor still sizes a table
+    short = _AffineEval(CertifiedReal.from_partial_quotients([1, 2]), ZERO)
+    with pytest.raises(BoundaryAmbiguous):
+        short.floor(10 ** 6)
+    assert companion_limit([short], 10 ** 6) == 3 * 10 ** 6 // 2  # bracket [4/3, 3/2]
+
+
 def test_negative_beta_companions_not_counted(table_3k):
     # beta pushing companions below 2 yields non-pairs, not errors
     pc = beatty_prime_pairs(R(1, 10), R(-1), 100, table_3k, want_pairs=True)
@@ -270,3 +307,6 @@ def test_normalized_statistic():
     assert normalized_statistic(count, x) == pytest.approx(1.0, abs=1e-4)
     with pytest.raises(ParameterError):
         normalized_statistic(1, 2)
+    # a Fraction count (an exact mean) is rounded once
+    mean = Fraction(10 ** 30 + 1, 3 * 10 ** 27)
+    assert normalized_statistic(mean, 1000) == float(mean) * math.log(1000) ** 2 / 1000

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -30,6 +31,50 @@ def test_pairs_list(capsys):
     assert out.splitlines()[0] == "p,q"
     assert out.splitlines()[1] == "2,2"
     assert "count: 2" in err  # (2,2) and (5,7)
+
+
+def test_pairs_at_x_2(capsys):
+    # the table of limit 2 holds the one pair p = 2, q = floor(2*sqrt 2) = 2
+    code, out, _ = run_cli(capsys, "pairs", "--alpha", "sqrt:2", "--x", "2")
+    assert code == 0
+    assert out.splitlines()[1] == "sqrt:2,rat:0/1,2,1,1.0"
+
+
+_CF_E = ("cf:0,1,2,1,1,4,1,1,6,1,1,8,1,1,10,1,1,12,1,1,14,1,1,16,1,1,18,1,1,20,"
+         "1,1,22,1,1,24,1,1,26,1")  # a prefix of e - 2
+_GOLDEN = {  # sha256 of whole CSV bodies: refactors keep them byte-identical
+    "pairs": (["pairs", "--alpha", "sqrt:2", "--x", "10000"],
+              "36310d8c12e171965a8c2fa1cd007b13fb3936b306cb777a357d54c5157c7dcf"),
+    "pairs_cf_beta": (["pairs", "--alpha", "sqrt:2", "--beta", _CF_E, "--x", "10000"],
+                      "1a6cbb05609a499e8a2b02253e1503dab40ae7a580b650a33ba60f4a2d7f1eee"),
+    "pairs_list": (["pairs", "--alpha", "sqrt:2", "--x", "10000", "--list"],
+                   "e758f2332b739d3d0a199bd7b8c2014d453dd4a84bb4d773d902c989038e468f"),
+    "scan": (["scan", "--c1", "1", "--c2", "2", "--beta", "rat:0/1", "--x-grid", "1000:5000",
+              "--samples", "10", "--seed", "123", "--pin", "sqrt:2"],
+             "3e114c9d46daa4e72aeb70a4f0ee30f9c92c08552744512a23ea6febe629252e"),
+    "integral": (["integral", "--c1", "1", "--c2", "2", "--x", "1000"],
+                 "ac1371ba8490e2412b8ef3445a447b5b9f751083cbcc370295c455c9dd1b7312"),
+    "integral_mc": (["integral", "--c1", "1", "--c2", "2", "--x", "1000", "--mc-samples", "100"],
+                    "327cce4a901ad9c3963cb21676aedcf90032cd8b6ecfe41a3b4060ac5bece000"),
+    "sieve": (["sieve", "--alpha", "sqrt:2", "--x", "10000", "--z", "5"],
+              "5ceabb4bea539011dc701796dc8e25e79e89f0480f6f707c3b6208aee95e69d7"),
+    "lemma2": (["lemma2", "--alpha", "sqrt:2", "--x", "500", "--dmax", "10"],
+               "0ad0ab95925419d652df1f5aa9b98765eacfc02dd62562573ccad2416504a8b2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN))
+def test_csv_body_golden_digest(capsys, name):
+    argv, digest = _GOLDEN[name]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_integral_with_mc_builds_one_table(capsys, sieve_calls):
+    code, _, _ = run_cli(capsys, "integral", "--c1", "1", "--c2", "2", "--x", "1000",
+                         "--mc-samples", "100")
+    assert code == 0 and sieve_calls == [2000]
 
 
 def test_scan_header_and_determinism(capsys):

@@ -4,7 +4,7 @@ import pytest
 
 from beattylab import (CertifiedReal, CongruenceQuery, GuardViolation,
                        ParameterError, count_direct, count_mobius,
-                       deviation_report, main_term)
+                       deviation_report, main_term, mobius)
 
 R = CertifiedReal.rational
 SQRT2 = CertifiedReal.sqrt(2)
@@ -108,6 +108,23 @@ def test_deviation_report_columns():
         assert r.normalized_error == r.abs_error * r.d / 2000
         direct = count_direct(CongruenceQuery(SQRT2, ZERO, 2000, r.d))
         assert r.count == direct
+
+
+def test_deviation_report_makes_no_factorize_call(monkeypatch):
+    import beattylab.primes
+    expected = {}
+    for x, d_max in ((1000, 1), (2000, 10), (10 ** 5, 100)):
+        expected[x, d_max] = [
+            (d, count_direct(CongruenceQuery(SQRT2, ZERO, x, d)), main_term(x, d))
+            for d in range(1, d_max + 1) if mobius(d)]
+
+    def no_factorize(n):
+        raise AssertionError(f"factorize({n}) called")
+
+    monkeypatch.setattr(beattylab.primes, "factorize", no_factorize)
+    for (x, d_max), want in expected.items():
+        rows = deviation_report(SQRT2, ZERO, x, d_max)
+        assert [(r.d, r.count, r.main) for r in rows] == want
 
 
 def test_deviation_report_guards():

@@ -7,7 +7,7 @@ from beattylab import (CertifiedReal, ExperimentConfig, IntervalSet,
                        ParameterError, beatty_prime_pairs, exceptional_fraction,
                        integral_by_intervals, integral_enclosure, integral_exact,
                        integral_monte_carlo, j_interval, lower_bound_ratio,
-                       sample_alphas, scan_alpha, scan_svg)
+                       sample_alphas, scan_alpha, scan_svg, sieve_primes)
 
 F = Fraction
 R = CertifiedReal.rational
@@ -81,6 +81,28 @@ def test_integral_enclosure_cf_beta():
     # rational beta degenerates to a point
     point = integral_enclosure(cfg12(), 50)
     assert point[0] == point[1] == integral_exact(cfg12(), 50)
+
+
+def test_integral_enclosure_builds_one_table(sieve_calls):
+    integral_enclosure(cfg12(beta=CertifiedReal.from_partial_quotients([0, 2, 2, 2])), 200)
+    assert len(sieve_calls) == 1
+    integral_enclosure(cfg12(beta=R(1, 3)), 200)
+    assert len(sieve_calls) == 2
+    # beta in [2/3, 3/4]: at x = 101 the companion 5/4*101 + 3/4 = 127 lies past 5/4*101 + 2/3
+    lo, hi = integral_enclosure(cfg12(c2=F(5, 4), beta=CertifiedReal.from_partial_quotients(
+        [0, 1, 2])), 101)
+    assert sieve_calls[-1] == 127 and lo <= hi
+
+
+def test_cf_beta_tables_for_monte_carlo_and_scan():
+    beta = CertifiedReal.from_partial_quotients([0, 1] + [3] * 40)
+    big = sieve_primes(2 * 600 + 2)
+    c = cfg12(beta=beta, seed=5)
+    assert integral_monte_carlo(c, 600) == integral_monte_carlo(c, 600, big)
+    rows = scan_alpha(cfg12(beta=beta, samples=3, x_grid=(100, 600)), pins=("sqrt:2",))
+    for r in rows:
+        alpha = CertifiedReal.parse(r.alpha_spec)
+        assert r.pair_count == beatty_prime_pairs(alpha, beta, r.x, big).count
 
 
 def test_monte_carlo_deterministic_and_close():

@@ -7,7 +7,7 @@ import sympy
 
 from beattylab import (ParameterError, factorize, is_prime, mobius, omega,
                        sieve_primes, squarefree_divisors)
-from beattylab.primes import spf_table
+from beattylab.primes import spf_table, squarefree_below
 from oracles import trial_factorize, trial_is_prime
 
 
@@ -43,6 +43,14 @@ def test_membership_array(table_3k):
     vals = np.arange(-7, 3001, dtype=np.int64)
     assert table_3k.membership_array(vals).tolist() == \
         [trial_is_prime(n) for n in range(-7, 3001)]
+
+
+def test_membership_array_small_tables():
+    # a table of limit 2 holds no odd number, yet every lane reads bit 0
+    for limit in range(2, 41):
+        vals = np.arange(-3, limit + 1, dtype=np.int64)
+        assert sieve_primes(limit).membership_array(vals).tolist() == \
+            [trial_is_prime(n) for n in range(-3, limit + 1)], limit
 
 
 def test_count_upto(table_3k):
@@ -110,6 +118,13 @@ def test_squarefree_divisors():
     assert squarefree_divisors(1) == [1]
     with pytest.raises(ParameterError):
         squarefree_divisors(12)
+
+
+def test_squarefree_below():
+    for z in (0, 1, 2, 3, 300):
+        assert list(squarefree_below(z)) == \
+            [(m, tuple(p for p, _ in trial_factorize(m))) for m in range(1, z)
+             if all(e == 1 for _, e in trial_factorize(m))]
 
 
 def test_factorize():

@@ -178,6 +178,27 @@ def test_eighth_root_ceil():
     assert eighth_root_ceil(1) == 1
 
 
+def test_eighth_root_ceil_exact():
+    brute, z = [], 1
+    for x in range(1, 10 ** 4 + 1):
+        while z ** 8 < x:
+            z += 1
+        brute.append(z)
+    assert [eighth_root_ceil(x) for x in range(1, 10 ** 4 + 1)] == brute
+    import random
+    rng = random.Random(8)
+    zs = list(range(2, 300)) + [10 ** k for k in range(3, 41)] + \
+        [rng.randrange(2, 10 ** 40) for _ in range(200)]
+    for z in zs:
+        assert eighth_root_ceil(z ** 8 - 1) == z
+        assert eighth_root_ceil(z ** 8) == z
+        assert eighth_root_ceil(z ** 8 + 1) == z + 1
+    # past the float range, and where a float start was off by millions
+    for x in (10 ** 138, 10 ** 200, 10 ** 400):
+        z = eighth_root_ceil(x)
+        assert (z - 1) ** 8 < x <= z ** 8
+
+
 def test_pair_bound_check():
     rep = pair_bound_check(SQRT2, ZERO, 10_000, z=10)
     assert rep.containment_ok
@@ -188,3 +209,9 @@ def test_pair_bound_check():
     # default z is the rounded-up eighth root
     rep2 = pair_bound_check(SQRT2, ZERO, 10_000)
     assert rep2.z == 4 and rep2.containment_ok
+
+
+def test_pair_bound_check_needs_x_3():
+    # the table of limit 2 works; the statistic needs x >= 3
+    with pytest.raises(ParameterError, match="x >= 3"):
+        pair_bound_check(SQRT2, ZERO, 2)
