@@ -23,8 +23,8 @@ from .certified import (CertifiedReal, _AffineEval, beatty_prime_pairs, companio
 from .congruence import CongruenceQuery, count_direct, count_mobius, deviation_report
 from .diophantine import farey_union, fractional_hits_report, lemma1_set, scaling_preimage_bound
 from .errors import BoundaryAmbiguous, GuardViolation, ParameterError
-from .experiment import (ExperimentConfig, _top_eval, integral_exact, integral_monte_carlo,
-                         scan_alpha, scan_svg)
+from .experiment import (ExperimentConfig, _integral_ratio, _top_eval, integral_exact,
+                         integral_monte_carlo, scan_alpha, scan_svg)
 from .intervals import IntervalSet
 from .primes import sieve_primes
 from .selberg import big_g, product_lower, selberg_upper_bound
@@ -127,10 +127,12 @@ def _cmd_pairs(args):
 
 
 def _cmd_scan(args):
+    try:
+        x_grid = tuple(int(v) for v in args.x_grid.split(":"))
+    except ValueError as exc:
+        raise ParameterError(f"bad --x-grid {args.x_grid!r}: {exc}") from exc
     cfg = ExperimentConfig(_fraction(args.c1), _fraction(args.c2),
-                           CertifiedReal.parse(args.beta),
-                           tuple(int(v) for v in args.x_grid.split(":")),
-                           args.samples, args.seed)
+                           CertifiedReal.parse(args.beta), x_grid, args.samples, args.seed)
     rows = scan_alpha(cfg, pins=tuple(args.pin), threads=args.threads)
     extras = {"cmd": "scan", "c1": args.c1, "c2": args.c2, "beta": args.beta,
               "x_grid": args.x_grid, "samples": args.samples, "seed": args.seed,
@@ -155,8 +157,7 @@ def _cmd_integral(args):
                            max(100, args.mc_samples or 100), args.seed)
     table = sieve_primes(companion_limit([_top_eval(cfg)], args.x))
     exact = integral_exact(cfg, args.x, table)
-    ratio = normalized_statistic(exact / (cfg.c2 - cfg.c1), args.x) \
-        if args.x >= 3 else float(exact)
+    ratio = _integral_ratio(cfg, exact, args.x) if args.x >= 3 else float(exact)
     mc_mean = mc_err = ""
     if args.mc_samples:
         mc = integral_monte_carlo(cfg, args.x, table)
@@ -167,13 +168,16 @@ def _cmd_integral(args):
                  "mc_mean", "mc_stderr", "ratio"],
           [[args.x, f"{cfg.c1.numerator}/{cfg.c1.denominator}",
             f"{cfg.c2.numerator}/{cfg.c2.denominator}",
-            CertifiedReal.parse(args.beta).spec_string(),
+            cfg.beta.spec_string(),
             exact.numerator, exact.denominator, mc_mean, mc_err, repr(ratio)]],
           extras)
 
 
 def _cmd_lemma1(args):
-    c1, c2 = (Fraction(s) for s in args.I.split(","))
+    ends = args.I.split(",")
+    if len(ends) != 2:
+        raise ParameterError(f"--I needs c1,c2, got {args.I!r}")
+    c1, c2 = (_fraction(s) for s in ends)
     if not 0 <= c1 < c2 <= 1:
         raise ParameterError("lemma1 interval must satisfy 0 <= c1 < c2 <= 1")
     I = IntervalSet.single(c1, c2)

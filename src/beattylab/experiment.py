@@ -1,15 +1,17 @@
 """Theorem-scale experiments: alpha-integrals of pair counts, scans, Monte Carlo.
 
-The central identity: for I = [c1, c2] and rational beta,
+The central identity: for I = [c1, c2], rational beta and the cumulative measure
+F(u) = pi(floor(u) - 1) + {u} [floor(u) prime] of {t in [0, u] : floor(t) prime},
 
     integral over I of pistar(x; alpha) d(alpha)
-        = sum over primes p <= x, primes q in (c1 p + beta - 1, c2 p + beta]
-          of  mes( [(q - beta)/p, (q + 1 - beta)/p) intersect I ),
+        = sum over primes p <= x of (F(c2 p + beta) - F(c1 p + beta)) / p,
 
-evaluated here in exact rational arithmetic two independent ways (window
-arithmetic vs. explicit interval unions). Sampled alphas are dyadic
-rationals with 128 fractional bits: exactly representable, floor-exact,
-and indistinguishable from irrationals at any in-range x.
+evaluated in exact rational arithmetic two independent ways: integral_exact
+from the companion floors at c1 and c2, integral_by_intervals from unions of
+the windows [(q - beta)/p, (q + 1 - beta)/p) cap I over prime companions q.
+Sampled alphas are dyadic rationals with 128 fractional bits: exactly
+representable, floor-exact, and indistinguishable from irrationals at any
+in-range x.
 """
 
 from __future__ import annotations
@@ -17,8 +19,10 @@ from __future__ import annotations
 import hashlib
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+
+import numpy as np
 
 from .certified import (CertifiedReal, _AffineEval, companion_limit, normalized_statistic,
                         pair_hits)
@@ -92,39 +96,24 @@ def integral_exact(cfg: ExperimentConfig, x: int,
                    primes: PrimeTable | None = None) -> Fraction:
     """Exact rational value of the pair-count integral over [c1, c2].
 
-    Interior companions q (window fully inside I) contribute 1/p each and
-    are counted through pi-differences; only the O(1) boundary companions
-    per prime need clipped-measure arithmetic.
+    The F-identity of the module docstring, with floors and primality at each
+    end from pair_hits. D clears the denominators of c1, c2 and beta, so each
+    g_p = D (F(c2 p + beta) - F(c1 p + beta)) is an integer.
     """
     beta = _require_exact_beta(cfg)
     table = primes if primes is not None else sieve_primes(companion_limit([_top_eval(cfg)], x))
-    c1, c2 = cfg.c1, cfg.c2
-
-    terms = []
-    for p in table.primes_upto(x).tolist():
-        A = c1 * p + beta
-        B = c2 * p + beta
-        q_lo = (A - 1).__floor__() + 1
-        q_hi = B.__floor__()
-        if q_hi < 2:
-            continue
-        qA = -((-A).__floor__())  # ceil(A)
-        qB = (B - 1).__floor__()
-        lo_int, hi_int = max(qA, 2), qB
-        if lo_int <= hi_int:
-            n_interior = table.count(hi_int) - table.count(lo_int - 1)
-            if n_interior:
-                terms.append(Fraction(n_interior, p))
-        boundary = set(range(max(q_lo, 2), min(qA, q_hi + 1)))
-        boundary.update(range(max(qB + 1, max(q_lo, 2)), q_hi + 1))
-        for q in boundary:
-            if not table.is_prime(q):
-                continue
-            lo = max(c1, Fraction(q - beta, p))
-            hi = min(c2, Fraction(q + 1 - beta, p))
-            if lo < hi:
-                terms.append(hi - lo)
-    return _tree_sum(terms)
+    ps = table.primes_upto(x)
+    D = math.lcm(cfg.c1.denominator, cfg.c2.denominator, beta.denominator)
+    pi_diff = np.zeros(len(ps), dtype=np.int64)  # pi(q2 - 1) - pi(q1 - 1)
+    frac = [0] * len(ps)  # D ({c2 p + beta} [q2 prime] - {c1 p + beta} [q1 prime])
+    for sign, c in ((1, cfg.c2), (-1, cfg.c1)):
+        qs, hits = pair_hits(_AffineEval(CertifiedReal.rational(c), cfg.beta), ps, table)
+        pi_diff += sign * np.searchsorted(table.primes(), qs)
+        cD, bD = int(c * D), int(beta * D)
+        for i in np.flatnonzero(hits).tolist():
+            frac[i] += sign * (cD * int(ps[i]) + bD - D * int(qs[i]))
+    return _tree_sum(Fraction(D * n + f, p)
+                     for n, f, p in zip(pi_diff.tolist(), frac, ps.tolist()) if n or f) / D
 
 
 def integral_by_intervals(cfg: ExperimentConfig, x: int,
@@ -154,8 +143,7 @@ def integral_enclosure(cfg: ExperimentConfig, x: int,
         v = integral_exact(cfg, x)
         return v, v
     blo, bhi = cfg.beta.enclosure(bits)
-    subs = [ExperimentConfig(cfg.c1, cfg.c2, CertifiedReal.rational(b),
-                             cfg.x_grid, cfg.samples, cfg.seed, cfg.delta) for b in (blo, bhi)]
+    subs = [replace(cfg, beta=CertifiedReal.rational(b)) for b in (blo, bhi)]
     table = sieve_primes(companion_limit([_top_eval(subs[1])], x))  # bhi's table covers blo
     raw = [integral_exact(sub, x, table) for sub in subs]
     # the sum is continuous piecewise-linear in beta with |slope| bounded by
@@ -215,6 +203,13 @@ class RatioReport:
     sum_inv_log_ratio: float  # sum_{p <= x} 1/log p, same normalization
 
 
+def _integral_ratio(cfg: ExperimentConfig, integral: Fraction, x: int) -> float:
+    """normalized_statistic of the integral's mean over [c1, c2]."""
+    if cfg.c1 == cfg.c2:
+        raise ParameterError(f"the normalized ratio needs c1 < c2, got c1 = c2 = {cfg.c1}")
+    return normalized_statistic(integral / (cfg.c2 - cfg.c1), x)
+
+
 def lower_bound_ratio(cfg: ExperimentConfig, x: int,
                       primes: PrimeTable | None = None) -> RatioReport:
     """Normalized integral, with the prime-harmonic comparison series."""
@@ -223,8 +218,7 @@ def lower_bound_ratio(cfg: ExperimentConfig, x: int,
     table = primes if primes is not None else sieve_primes(companion_limit([_top_eval(cfg)], x))
     val = integral_exact(cfg, x, table)
     s = sum(1.0 / math.log(p) for p in table.primes_upto(x).tolist())
-    return RatioReport(x=x, integral=val,
-                       ratio=normalized_statistic(val / (cfg.c2 - cfg.c1), x),
+    return RatioReport(x=x, integral=val, ratio=_integral_ratio(cfg, val, x),
                        sum_inv_log_ratio=normalized_statistic(s, x))
 
 
@@ -277,8 +271,7 @@ def exceptional_fraction(cfg: ExperimentConfig, x: int) -> ExceptionalReport:
     """Empirical share of sampled alphas with statistic <= 1 - delta."""
     if cfg.samples < 100:
         raise ParameterError("exceptional_fraction needs samples >= 100")
-    rows = scan_alpha(ExperimentConfig(cfg.c1, cfg.c2, cfg.beta, (x,),
-                                       cfg.samples, cfg.seed, cfg.delta))
+    rows = scan_alpha(replace(cfg, x_grid=(x,)))
     stats = [r.statistic for r in rows]
     threshold = 1.0 - float(cfg.delta)
     below = sum(1 for s in stats if s <= threshold)

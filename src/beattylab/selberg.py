@@ -311,6 +311,8 @@ def pair_bound_check(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     coprime to P(z); consequently pi*(x) is controlled by the sifted count
     plus the few below-threshold pairs.
     """
+    if alpha.compare_fraction(Fraction(0)) <= 0:
+        raise ParameterError("alpha must be positive")
     if z is None:
         z = eighth_root_ceil(x)
     ev = _AffineEval(alpha, beta)

@@ -158,8 +158,17 @@ def test_farey_schema(capsys):
     assert row == "1,3,1,50,13,150,13,150"
 
 
-def test_exit_code_parameter(capsys):
-    code, _, err = run_cli(capsys, "pairs", "--alpha", "bogus", "--x", "10")
+@pytest.mark.parametrize("argv", [
+    ["pairs", "--alpha", "bogus", "--x", "10"],
+    ["lemma1", "--I", "1/2", "--b", "1", "--l", "2"],
+    ["lemma1", "--I", "a,b", "--b", "1", "--l", "2"],
+    ["scan", "--c1", "1", "--c2", "2", "--x-grid", "1e3"],
+    ["scan", "--c1", "1", "--c2", "2", "--x-grid", "100::1000"],
+    ["integral", "--c1", "1", "--c2", "1", "--x", "100"],
+], ids=["pairs-bogus-alpha", "lemma1-one-end", "lemma1-not-rational", "scan-float-x",
+        "scan-empty-x", "integral-point-window"])
+def test_exit_code_parameter(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert err.startswith("error: parameter:")
 

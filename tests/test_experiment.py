@@ -57,17 +57,38 @@ def test_integral_requires_rational_beta():
 
 
 def test_integral_window_fuzz():
-    # random narrow/shifted windows stress the boundary-companion arithmetic
+    # random narrow/shifted windows stress the companion floors and prime hits at both ends
     import random
     rng = random.Random(60)
+
+    def small():
+        return F(rng.randint(1, 40), rng.randint(1, 12))
+
+    cases = []
     for _ in range(50):
-        c1 = F(rng.randint(1, 40), rng.randint(1, 12))
-        c2 = c1 + F(rng.randint(1, 30), rng.randint(1, 20))
-        beta = R(F(rng.randint(-8, 8), rng.randint(1, 6)))
-        x = rng.randint(2, 120)
-        cfg = ExperimentConfig(c1, c2, beta, (100,), 100, 0)
-        assert integral_exact(cfg, x) == integral_by_intervals(cfg, x), \
-            (c1, c2, beta, x)
+        c1 = small()
+        cases.append((c1, c1 + F(rng.randint(1, 30), rng.randint(1, 20)),
+                      F(rng.randint(-8, 8), rng.randint(1, 6)), rng.randint(2, 120)))
+    for _ in range(8):
+        c1 = small()
+        cases.append((c1, c1, F(rng.randint(-8, 8), rng.randint(1, 6)), rng.randint(1, 120)))
+        # beta <= -2 c1: the companions of the small primes fall below 2
+        cases.append((c1, c1 + F(rng.randint(1, 8), rng.randint(1, 4)),
+                      -2 * c1 - F(rng.randint(0, 30), rng.randint(1, 4)), rng.randint(1, 120)))
+        cases.append((c1, c1 + small(), F(rng.randint(-8, 8), rng.randint(1, 6)), 1))
+    for x in (997, 1500, 2000):
+        c1 = small()
+        cases.append((c1, c1 + F(1, rng.randint(2, 8)), F(rng.randint(-8, 8), rng.randint(1, 6)), x))
+    # denominators past 2^64 take the floor kernel off its exact int64 mode
+    big = F(3 * 2 ** 65 + 1, 2 ** 65 + 7)
+    cases.append((big, big + F(2 ** 64 + 5, 2 ** 66 + 1), F(-5, 2 ** 65 + 3), 300))
+    for c1, c2, beta, x in cases:
+        cfg = ExperimentConfig(c1, c2, R(beta), (100,), 100, 0)
+        assert integral_exact(cfg, x) == integral_by_intervals(cfg, x), (c1, c2, beta, x)
+    # a caller's table one short of floor(c2 p + beta) at p = 97 is refused
+    assert integral_exact(cfg12(), 100, sieve_primes(194)) == integral_exact(cfg12(), 100)
+    with pytest.raises(ParameterError):
+        integral_exact(cfg12(), 100, sieve_primes(193))
 
 
 def test_integral_enclosure_cf_beta():
@@ -178,6 +199,8 @@ def test_lower_bound_ratio():
     assert rep.sum_inv_log_ratio > rep.ratio  # interior windows lose the 1/log(c1 p) edge
     with pytest.raises(ParameterError):
         lower_bound_ratio(cfg12(), 50)
+    with pytest.raises(ParameterError, match="c1 = c2"):
+        lower_bound_ratio(cfg12(c2=F(1)), 1000)
 
 
 def test_scan_pinned_delegates(table_3k):

@@ -215,3 +215,10 @@ def test_pair_bound_check_needs_x_3():
     # the table of limit 2 works; the statistic needs x >= 3
     with pytest.raises(ParameterError, match="x >= 3"):
         pair_bound_check(SQRT2, ZERO, 2)
+
+
+def test_pair_bound_check_needs_positive_alpha():
+    # the threshold search alpha*m + beta >= z + 1 never ends for alpha <= 0
+    for alpha in (R(0), R(-1), CertifiedReal.from_partial_quotients([-2, 3, 1])):
+        with pytest.raises(ParameterError, match="alpha must be positive"):
+            pair_bound_check(alpha, ZERO, 100)
