@@ -43,6 +43,7 @@ from .primes import PrimeTable
 
 PRECISION_START = 128
 PRECISION_CAP = 4096
+PAIR_BLOCK = 1 << 18  # primes per pair_hits call in beatty_prime_pairs: bounds its temporaries
 
 _HEADROOM = 1 << 62  # max|A|*nmax + max|B| in the int64 floor kernel stays below this
 _MIN_SHIFT = 16      # fewest fraction bits worth a kernel pass; below it, scalar floors
@@ -600,7 +601,9 @@ def beatty_prime_pairs(alpha: CertifiedReal, beta: CertifiedReal, x: int,
     """Count primes p <= x whose companion floor(alpha*p + beta) is prime.
 
     Companions q < 2 are never prime and are excluded; q must stay within
-    the supplied table (primes.limit >= max(x, floor(alpha*x + beta))).
+    the supplied table (primes.limit >= max(x, floor(alpha*x + beta))). The
+    primes go through ``pair_hits`` PAIR_BLOCK at a time, so the kernel's
+    temporaries stay a few MiB at any x.
     """
     if x < 1:
         raise ParameterError("x must be >= 1")
@@ -613,11 +616,15 @@ def beatty_prime_pairs(alpha: CertifiedReal, beta: CertifiedReal, x: int,
             f"prime table limit {primes.limit} < max(x, floor(alpha*x+beta)) = {max(x, qmax)}"
         )
     ps = primes.primes_upto(x)
-    qs, hits = pair_hits(ev, ps, primes)
-    pairs = None
-    if want_pairs:
-        pairs = [(int(p), int(q)) for p, q in zip(ps[hits].tolist(), qs[hits].tolist())]
-    return PairCount(x=x, count=int(hits.sum()), pairs=pairs)
+    count = 0
+    pairs = [] if want_pairs else None
+    for lo in range(0, ps.size, PAIR_BLOCK):
+        block = ps[lo : lo + PAIR_BLOCK]
+        qs, hits = pair_hits(ev, block, primes)
+        count += int(hits.sum())
+        if want_pairs:
+            pairs += zip(block[hits].tolist(), qs[hits].tolist())
+    return PairCount(x=x, count=count, pairs=pairs)
 
 
 def normalized_statistic(count, x: int) -> float:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import stat
 import sys
 import time
 from fractions import Fraction
@@ -23,7 +25,7 @@ from .certified import (CertifiedReal, _AffineEval, beatty_prime_pairs, companio
 from .congruence import CongruenceQuery, count_direct, count_mobius, deviation_report
 from .diophantine import farey_union, fractional_hits_report, lemma1_set, scaling_preimage_bound
 from .errors import BoundaryAmbiguous, GuardViolation, ParameterError
-from .experiment import (ExperimentConfig, _integral_ratio, _top_eval, integral_exact,
+from .experiment import (ExperimentConfig, _integral_mean, _top_eval, integral_exact,
                          integral_monte_carlo, scan_alpha, scan_svg)
 from .intervals import IntervalSet
 from .primes import sieve_primes
@@ -48,14 +50,33 @@ def _fraction(text: str) -> Fraction:
         raise ParameterError(f"bad rational {text!r}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` in place, then cut a regular file at its end.
+
+    No O_TRUNC: on ext4 (auto_da_alloc) truncating an existing file forces a
+    flush of its new data at close, tens of ms per rewrite. Devices and FIFOs
+    are not cut. Like open(path, "w") it follows symlinks and creates files
+    with mode 0o666 & ~umask; no fsync is made.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:
+            rest = rest[os.write(fd, rest):]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def _emit(args, header: list[str], rows: list[list], extras: dict,
           stderr_notes: list[str] = (), extra_outputs: list[str] = ()):
     body = ",".join(header) + "\n"
     body += "".join(",".join(str(v) for v in row) + "\n" for row in rows)
     outputs = []
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
+        _write_text(args.out, body)
         outputs.append(args.out)
     else:
         sys.stdout.write(body)
@@ -64,7 +85,7 @@ def _emit(args, header: list[str], rows: list[list], extras: dict,
     for note in stderr_notes:
         print(note, file=sys.stderr)
     manifest = {
-        "command": sys.argv[1:],
+        "command": args.argv,
         "config_digest": hashlib.sha256(
             json.dumps(extras, sort_keys=True, default=str).encode()).hexdigest(),
         "seed": extras.get("seed"),
@@ -73,9 +94,7 @@ def _emit(args, header: list[str], rows: list[list], extras: dict,
         "outputs": outputs,
     }
     if args.out:
-        with open(args.out + ".manifest.json", "w") as fh:
-            json.dump(manifest, fh, indent=2)
-            fh.write("\n")
+        _write_text(args.out + ".manifest.json", json.dumps(manifest, indent=2) + "\n")
     else:
         print(json.dumps(manifest), file=sys.stderr)
 
@@ -142,8 +161,7 @@ def _cmd_scan(args):
     if args.svg:
         pinned_specs = {CertifiedReal.parse(p).spec_string() for p in args.pin}
         plot_rows = [r for r in rows if r.alpha_spec in pinned_specs] or rows
-        with open(args.svg, "w") as fh:
-            fh.write(scan_svg(plot_rows))
+        _write_text(args.svg, scan_svg(plot_rows))
         notes.append(f"svg: {args.svg}")
         svg_outputs.append(args.svg)
     _emit(args, ["alpha_spec", "x", "pair_count", "statistic"],
@@ -157,7 +175,8 @@ def _cmd_integral(args):
                            max(100, args.mc_samples or 100), args.seed)
     table = sieve_primes(companion_limit([_top_eval(cfg)], args.x))
     exact = integral_exact(cfg, args.x, table)
-    ratio = _integral_ratio(cfg, exact, args.x) if args.x >= 3 else float(exact)
+    mean = _integral_mean(cfg, exact)
+    ratio = repr(normalized_statistic(mean, args.x)) if args.x >= 3 else ""
     mc_mean = mc_err = ""
     if args.mc_samples:
         mc = integral_monte_carlo(cfg, args.x, table)
@@ -169,7 +188,7 @@ def _cmd_integral(args):
           [[args.x, f"{cfg.c1.numerator}/{cfg.c1.denominator}",
             f"{cfg.c2.numerator}/{cfg.c2.denominator}",
             cfg.beta.spec_string(),
-            exact.numerator, exact.denominator, mc_mean, mc_err, repr(ratio)]],
+            exact.numerator, exact.denominator, mc_mean, mc_err, ratio]],
           extras)
 
 
@@ -353,9 +372,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
+        expanded = argv
         if argv and not argv[0].startswith("-"):
-            argv = [argv[0]] + _apply_config(parser, argv[0], argv[1:])
-        args = parser.parse_args(argv)
+            expanded = [argv[0]] + _apply_config(parser, argv[0], argv[1:])
+        args = parser.parse_args(expanded)
+        args.argv = argv  # the manifest's "command": what main received, not sys.argv
         return args.fn(args) or 0
     except ParameterError as exc:
         print(f"error: parameter: {exc}", file=sys.stderr)

@@ -203,11 +203,11 @@ class RatioReport:
     sum_inv_log_ratio: float  # sum_{p <= x} 1/log p, same normalization
 
 
-def _integral_ratio(cfg: ExperimentConfig, integral: Fraction, x: int) -> float:
-    """normalized_statistic of the integral's mean over [c1, c2]."""
+def _integral_mean(cfg: ExperimentConfig, integral: Fraction) -> Fraction:
+    """The integral's mean over [c1, c2], the count that the normalized ratio scales."""
     if cfg.c1 == cfg.c2:
         raise ParameterError(f"the normalized ratio needs c1 < c2, got c1 = c2 = {cfg.c1}")
-    return normalized_statistic(integral / (cfg.c2 - cfg.c1), x)
+    return integral / (cfg.c2 - cfg.c1)
 
 
 def lower_bound_ratio(cfg: ExperimentConfig, x: int,
@@ -218,7 +218,8 @@ def lower_bound_ratio(cfg: ExperimentConfig, x: int,
     table = primes if primes is not None else sieve_primes(companion_limit([_top_eval(cfg)], x))
     val = integral_exact(cfg, x, table)
     s = sum(1.0 / math.log(p) for p in table.primes_upto(x).tolist())
-    return RatioReport(x=x, integral=val, ratio=_integral_ratio(cfg, val, x),
+    return RatioReport(x=x, integral=val,
+                       ratio=normalized_statistic(_integral_mean(cfg, val), x),
                        sum_inv_log_ratio=normalized_statistic(s, x))
 
 

@@ -141,7 +141,11 @@ def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
     n_odds = max(0, (limit - 1) // 2)  # odds 3, 5, ..., <= limit
     # at least one byte, so membership_array can read bit 0 for every lane
     packed = np.zeros(max(1, (n_odds + 7) // 8), dtype=np.uint8)
-    prime_chunks = [np.array([2], dtype=np.int64)] if limit >= 2 else []
+    # one list, filled in place: pi(x) < 1.25506 x / ln x for x > 1 (Rosser-Schoenfeld),
+    # and pages past the filled prefix are never touched, so never resident
+    primes = np.empty(int(1.25506 * limit / math.log(limit)) + 1, dtype=np.int64)
+    primes[0] = 2
+    n_primes = 1
 
     lo_idx = 0
     while lo_idx < n_odds:
@@ -161,11 +165,14 @@ def sieve_primes(limit: int, segment_size: int = DEFAULT_SEGMENT) -> PrimeTable:
         # packed bit i of byte i>>3 is odd number 3 + 2*(8*(i>>3) + (i&7))
         chunk = np.packbits(seg, bitorder="little")
         packed[lo_idx // 8 : lo_idx // 8 + chunk.size] |= chunk
-        prime_chunks.append((low + 2 * np.flatnonzero(seg)).astype(np.int64))
+        idx = np.flatnonzero(seg)
+        out = primes[n_primes : n_primes + idx.size]
+        np.multiply(idx, 2, out=out)
+        out += low
+        n_primes += idx.size
         lo_idx = hi_idx
 
-    primes = np.concatenate(prime_chunks) if prime_chunks else np.empty(0, dtype=np.int64)
-    return PrimeTable(limit, packed, primes)
+    return PrimeTable(limit, packed, primes[:n_primes])
 
 
 def is_prime(n: int) -> bool:

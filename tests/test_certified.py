@@ -9,6 +9,7 @@ import pytest
 from beattylab import (BoundaryAmbiguous, CertifiedReal, ParameterError,
                        beatty_prime_pairs, continued_fraction, floor_affine,
                        fractional_in, normalized_statistic, sieve_primes)
+from beattylab import certified
 from beattylab.certified import _AffineEval, companion_limit
 from oracles import PHI, SQRT2, SQRT3, decimal_beatty_pairs, decimal_floor
 
@@ -275,6 +276,25 @@ def test_negative_beta_companions_not_counted(table_3k):
     # beta pushing companions below 2 yields non-pairs, not errors
     pc = beatty_prime_pairs(R(1, 10), R(-1), 100, table_3k, want_pairs=True)
     assert all(q >= 2 for _, q in pc.pairs)
+
+
+@pytest.mark.parametrize("alpha,beta", [
+    (R(79, 40), ZERO), (R(7, 5), R(-5, 2)),
+    (CertifiedReal.sqrt(2), HALF), (CertifiedReal.phi(), R(-3)),
+    (CertifiedReal.from_partial_quotients([1] + [2] * 30), ZERO),
+], ids=["rational", "rational-negative-beta", "quadratic", "phi-negative-beta", "cf"])
+def test_beatty_pairs_blocked(monkeypatch, table_3k, alpha, beta):
+    # the count and the pairs do not depend on how the primes are cut into blocks
+    x = 1400  # 222 primes: a partial last block at every size below
+    ev = _AffineEval(alpha, beta)
+    expect = [(p, ev.floor(p)) for p in table_3k.primes_upto(x).tolist()]
+    expect = [(p, q) for p, q in expect if table_3k.is_prime(q)]
+    for block in (1, 7, 64, 1 << 18):
+        monkeypatch.setattr(certified, "PAIR_BLOCK", block)
+        for want in (False, True):
+            pc = beatty_prime_pairs(alpha, beta, x, table_3k, want_pairs=want)
+            assert pc.count == len(expect), block
+            assert pc.pairs == (expect if want else None), block
 
 
 def test_beatty_pairs_cf_alpha_fallback(table_3k):

@@ -97,6 +97,7 @@ def test_integral_schema(capsys):
     fields = row.split(",")
     assert fields[0] == "2" and fields[4] == "1" and fields[5] == "1"
     assert fields[6] == "" and fields[7] == ""  # no MC requested
+    assert fields[8] == ""  # the normalized ratio needs x >= 3
 
 
 def test_integral_with_mc(capsys):
@@ -165,8 +166,9 @@ def test_farey_schema(capsys):
     ["scan", "--c1", "1", "--c2", "2", "--x-grid", "1e3"],
     ["scan", "--c1", "1", "--c2", "2", "--x-grid", "100::1000"],
     ["integral", "--c1", "1", "--c2", "1", "--x", "100"],
+    ["integral", "--c1", "1", "--c2", "1", "--x", "2"],
 ], ids=["pairs-bogus-alpha", "lemma1-one-end", "lemma1-not-rational", "scan-float-x",
-        "scan-empty-x", "integral-point-window"])
+        "scan-empty-x", "integral-point-window", "integral-point-window-x-2"])
 def test_exit_code_parameter(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
@@ -209,16 +211,81 @@ def test_argparse_error_is_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_out_and_manifest(tmp_path, capsys):
+def test_out_and_manifest(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["host", "--stray"])  # an in-process caller's argv
     out = tmp_path / "pairs.csv"
-    code, stdout, _ = run_cli(capsys, "pairs", "--alpha", "phi", "--x", "50",
-                              "--out", str(out))
+    argv = ["pairs", "--alpha", "phi", "--x", "50", "--out", str(out)]
+    code, stdout, _ = run_cli(capsys, *argv)
     assert code == 0 and stdout == ""
     assert out.read_text().splitlines()[0] == "alpha_spec,beta_spec,x,count,statistic"
     manifest = json.loads((tmp_path / "pairs.csv.manifest.json").read_text())
+    assert manifest["command"] == argv
     assert manifest["outputs"] == [str(out)]
     assert manifest["version"]
     assert "timestamp" in manifest and "config_digest" in manifest
+
+
+def test_out_rewrites_longer_files_exactly(tmp_path, capsys):
+    out = tmp_path / "pairs.csv"
+    manifest = tmp_path / "pairs.csv.manifest.json"
+    argv = ["pairs", "--alpha", "sqrt:2", "--x", "100"]
+    _, body, _ = run_cli(capsys, *argv)
+    out.write_text("9" * 5000 + "\n")
+    manifest.write_text("[" * 5000 + "\n")
+    code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == body.encode()
+    text = manifest.read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_out_to_a_device_and_through_a_symlink(tmp_path, capsys):
+    # a device is written but never cut; a link is written through, not replaced
+    # (the manifest lands beside the link, so nothing is created under /dev)
+    null = tmp_path / "null"
+    null.symlink_to("/dev/null")
+    code, _, _ = run_cli(capsys, "pairs", "--alpha", "sqrt:2", "--x", "100", "--out", str(null))
+    assert code == 0 and null.is_symlink()
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    link.symlink_to(target)
+    _, body, _ = run_cli(capsys, "pairs", "--alpha", "sqrt:2", "--x", "100")
+    code, _, _ = run_cli(capsys, "pairs", "--alpha", "sqrt:2", "--x", "100", "--out", str(link))
+    assert code == 0 and link.is_symlink()
+    assert target.read_text() == body
+
+
+def test_cli_writes_never_truncate_on_open(tmp_path, capsys, monkeypatch):
+    import builtins
+    import os
+    opened, bad = [], []
+    real_os_open, real_open = os.open, builtins.open
+
+    def spy_os_open(path, flags, *args, **kwargs):
+        opened.append(str(path))
+        if flags & os.O_TRUNC:
+            bad.append(("os.open O_TRUNC", path))
+        return real_os_open(path, flags, *args, **kwargs)
+
+    def spy_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            bad.append(("open mode w", file))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy_os_open)
+    monkeypatch.setattr(builtins, "open", spy_open)
+    runs = [["pairs", "--alpha", "sqrt:2", "--x", "100"],
+            ["integral", "--c1", "1", "--c2", "2", "--x", "100"],
+            ["scan", "--c1", "1", "--c2", "2", "--x-grid", "100:300", "--samples", "2",
+             "--svg", str(tmp_path / "plot.svg")]]
+    for argv in runs:
+        out = tmp_path / f"{argv[0]}.csv"
+        for _ in range(2):  # the second run rewrites existing files
+            code, _, _ = run_cli(capsys, *argv, "--out", str(out))
+            assert code == 0
+    monkeypatch.undo()
+    assert bad == []
+    assert {str(tmp_path / n) for n in ("pairs.csv", "integral.csv.manifest.json",
+                                        "scan.csv", "plot.svg")} <= set(opened)
 
 
 def test_config_file_defaults_and_override(tmp_path, capsys):

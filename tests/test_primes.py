@@ -35,6 +35,26 @@ def test_segmented_equals_single_block():
     assert bytes(seg._bits) == bytes(block._bits)
 
 
+def _plain_primes(limit):
+    is_p = np.ones(limit + 1, dtype=bool)
+    is_p[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if is_p[p]:
+            is_p[p * p :: p] = False
+    return np.flatnonzero(is_p).tolist()
+
+
+def test_sieve_list_filled_in_place():
+    # every limit to 300 (the Rosser-Schoenfeld sizing is tightest at 113), then
+    # limits one below, at and one past segment ends (odds 3 + 2*k*seg)
+    edges = [3 + 2 * k * seg + d for seg in (8, 16) for k in (37, 500) for d in (-2, -1, 0, 1, 2)]
+    for seg in (8, 16):
+        for limit in list(range(2, 301)) + edges:
+            t = sieve_primes(limit, segment_size=seg)
+            assert t.primes().tolist() == _plain_primes(limit), (limit, seg)
+            assert t.primes().size == t.count() == t.count(limit)
+
+
 def test_membership_array(table_3k):
     vals = np.array([1, 2, 3, 4, 997, 999, 2999], dtype=np.int64)
     got = table_3k.membership_array(vals).tolist()
